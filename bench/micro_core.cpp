@@ -76,6 +76,35 @@ void BM_TimerRescheduleInPlace(benchmark::State& state) {
 }
 BENCHMARK(BM_TimerRescheduleInPlace);
 
+// One ACK of a bulk-TCP flow: schedules the next ACK one reverse-path delay
+// (100 ms) out and an RTO re-arm 250 ms out that fires stale and does
+// nothing, as TcpSender's generation-checked RTO events do.
+struct FarAck {
+  sim::Simulator* sim;
+  std::uint64_t* stale;
+  void operator()() const {
+    sim->schedule_in(Duration::milliseconds(100), FarAck{*this});
+    sim->schedule_in(Duration::milliseconds(250), [s = stale] { ++*s; });
+  }
+};
+
+void BM_FarEventChurn(benchmark::State& state) {
+  // Far-future churn: 128 ACK chains spread over one 100 ms round keep ~450
+  // keys pending, every one scheduled past the 33.6 ms ring -- the key
+  // pattern of the bulk-TCP workloads, which the second level serves.
+  sim::Simulator sim;
+  std::uint64_t stale = 0;
+  for (int i = 0; i < 128; ++i) {
+    sim.schedule_in(Duration::nanoseconds(781'250 * i), FarAck{&sim, &stale});
+  }
+  for (auto _ : state) {
+    for (int i = 0; i < 1000; ++i) sim.run_next();
+  }
+  benchmark::DoNotOptimize(stale);
+  state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_FarEventChurn);
+
 void BM_AliasSamplerPaperMix(benchmark::State& state) {
   // O(1) weighted packet-size draw (one uniform, no allocation); the seed
   // engine built a weights vector per call.

@@ -58,6 +58,18 @@ std::uint64_t SimProbeChannel::probe_dups() const {
   return total;
 }
 
+std::uint64_t SimProbeChannel::path_drops() const {
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < path_.hop_count(); ++i) total += path_.link(i).drops();
+  return total;
+}
+
+std::uint64_t SimProbeChannel::path_dups() const {
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < path_.hop_count(); ++i) total += path_.link(i).duplicates();
+  return total;
+}
+
 bool SimProbeChannel::path_impaired() const {
   for (std::size_t i = 0; i < path_.hop_count(); ++i) {
     if (path_.link(i).impaired()) return true;
@@ -224,12 +236,26 @@ core::StreamOutcome SimProbeChannel::run_stream(const core::StreamSpec& spec) {
     // copy created (original K plus dups so far) ends as either a record or
     // a per-flow drop, so the loop still terminates exactly. Cross-traffic
     // sources always have future events pending, so the guard against an
-    // empty queue is purely defensive.
+    // empty queue is purely defensive. The per-flow sums cost a hash lookup
+    // per hop, so they are re-read only when a link total moved (every
+    // per-flow drop or duplicate also counts in its link's total).
     const auto target = static_cast<std::uint64_t>(spec.packet_count);
-    while (static_cast<std::uint64_t>(records_.size()) +
-               (probe_drops() - drops_before) <
-           target + (impaired ? probe_dups() - dups_before : 0)) {
+    std::uint64_t link_drops = path_drops();
+    std::uint64_t link_dups = impaired ? path_dups() : 0;
+    std::uint64_t drops = 0;  // this flow's, since the stream started
+    std::uint64_t dups = 0;
+    while (static_cast<std::uint64_t>(records_.size()) + drops < target + dups) {
       if (!sim_.run_next()) break;
+      if (const std::uint64_t d = path_drops(); d != link_drops) {
+        link_drops = d;
+        drops = probe_drops() - drops_before;
+      }
+      if (impaired) {
+        if (const std::uint64_t d = path_dups(); d != link_dups) {
+          link_dups = d;
+          dups = probe_dups() - dups_before;
+        }
+      }
     }
     send_timer_.cancel();  // defensive: only armed if the loop exited early
     spec_ = nullptr;

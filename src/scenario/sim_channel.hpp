@@ -65,6 +65,8 @@ class SimProbeChannel final : public core::ProbeChannel, public core::BulkChanne
 
   std::uint64_t probe_drops() const;
   std::uint64_t probe_dups() const;
+  std::uint64_t path_drops() const;  // every flow's, summed over the hops
+  std::uint64_t path_dups() const;
   bool path_impaired() const;
   bool path_all_fluid() const;
   void run_stream_batched(const core::StreamSpec& spec);

@@ -58,20 +58,28 @@ void Simulator::insert(Key k) {
           KeyBefore{});
       cur_.insert(pos, k);
     }
-  } else if (k.at < window_end_) {
+    ++lane_inserts_.fast;
+  } else if (k.at < fine_end_) {
     admit_to_ring(k);
-  } else if (cur_head_ == cur_.size() && ring_count_ == 0 && overflow_.empty()) {
-    // Queue is empty and the clock has outrun the window (e.g. run_until on
-    // an idle simulator): re-anchor the window at the new event instead of
-    // sending it on a pointless trip through the overflow heap.
+    ++lane_inserts_.ring;
+  } else if (queue_empty()) {
+    // Queue is empty and the key is beyond the ring (e.g. the clock has
+    // outrun the window in run_until on an idle simulator): re-anchor the
+    // window at the new event instead of sending it on a pointless trip
+    // through the second level or the overflow heap.
     cur_start_ = (k.at >> kBucketShift) << kBucketShift;
-    window_end_ = cur_start_ + static_cast<std::int64_t>(kBucketCount) * kBucketWidth;
+    fine_end_ = ((cur_start_ + kWindowSpan) >> kBlockShift) << kBlockShift;
     cur_.clear();
     cur_head_ = 0;
     cur_.push_back(k);
+    ++lane_inserts_.fast;
+  } else if (k.at < horizon()) {
+    admit_to_block(k);
+    ++lane_inserts_.coarse;
   } else {
     overflow_.push_back(k);
     std::push_heap(overflow_.begin(), overflow_.end(), KeyLater{});
+    ++lane_inserts_.heap;
   }
   ++live_;
 }
@@ -111,15 +119,15 @@ std::uint64_t Simulator::schedule_batch(std::vector<BatchEvent> entries) {
     Slot* s = alloc_slot();
     s->cb = std::move(entries[i].cb);
     const Key k{entries[i].at.nanos(), base + i, s, s->gen};
-    // Once one key lands beyond the window, every later one does too
-    // (ascending times, and the re-anchor branch needs an empty overflow):
+    // Once one key lands past the horizon, every later one does too
+    // (ascending times, and the re-anchor branch needs an empty queue):
     // append those raw and restore the heap invariant once at the end.
     // Safe because KeyLater is a total order, so the pop sequence does not
     // depend on the heap's internal layout.
-    if (deferred || (k.at >= window_end_ && !(cur_head_ == cur_.size() &&
-                                             ring_count_ == 0 && overflow_.empty()))) {
+    if (deferred || (k.at >= horizon() && !queue_empty())) {
       overflow_.push_back(k);
       ++live_;
+      ++lane_inserts_.heap;
       deferred = true;
     } else {
       insert(k);
@@ -179,13 +187,56 @@ void Simulator::admit_to_ring(const Key& k) {
   ++ring_count_;
 }
 
-void Simulator::drain_overflow_into_window() {
-  while (!overflow_.empty() && overflow_.front().at < window_end_) {
+void Simulator::admit_to_block(const Key& k) {
+  std::uint32_t n = pool_free_;
+  if (n != kNil) {
+    pool_free_ = pool_[n].next;
+    pool_[n] = k;
+  } else {
+    n = static_cast<std::uint32_t>(pool_.size());
+    pool_.push_back(k);
+  }
+  pool_[n].next = kNil;
+  const auto b = static_cast<std::size_t>(k.at >> kBlockShift) & (kBlockCount - 1);
+  const std::uint64_t bit = std::uint64_t{1} << b;
+  if ((blocks_occupied_ & bit) != 0) {
+    pool_[block_tail_[b]].next = n;
+  } else {
+    block_head_[b] = n;
+    blocks_occupied_ |= bit;
+  }
+  block_tail_[b] = n;
+  ++coarse_count_;
+}
+
+void Simulator::drain_overflow_into_blocks() {
+  while (!overflow_.empty() && overflow_.front().at < horizon()) {
     const Key k = overflow_.front();
     std::pop_heap(overflow_.begin(), overflow_.end(), KeyLater{});
     overflow_.pop_back();
-    admit_to_ring(k);
+    admit_to_block(k);
   }
+}
+
+void Simulator::promote_block() {
+  // Precondition: the ring window covers the whole block at fine_end_, so
+  // its keys land at ring distance >= 1 from the current bucket.
+  const auto b = static_cast<std::size_t>(fine_end_ >> kBlockShift) & (kBlockCount - 1);
+  const std::uint64_t bit = std::uint64_t{1} << b;
+  if ((blocks_occupied_ & bit) != 0) {
+    for (std::uint32_t n = block_head_[b]; n != kNil; n = pool_[n].next) {
+      admit_to_ring(pool_[n]);
+      --coarse_count_;
+    }
+    // Splice the whole list onto the free list.
+    pool_[block_tail_[b]].next = pool_free_;
+    pool_free_ = block_head_[b];
+    blocks_occupied_ &= ~bit;
+  }
+  // The horizon moves with fine_end_: the freed block now stands for the
+  // last block below it.
+  fine_end_ += kBlockWidth;
+  drain_overflow_into_blocks();
 }
 
 std::size_t Simulator::next_occupied_after(std::size_t slot) const {
@@ -208,27 +259,31 @@ bool Simulator::advance_bucket() {
   cur_.clear();
   cur_head_ = 0;
   if (ring_count_ == 0) {
-    if (overflow_.empty()) return false;
-    // Nothing within the window: re-anchor it one bucket below the
-    // earliest overflow key (so that key lands at ring distance 1) and let
-    // the drain below admit everything that now fits.
-    const std::int64_t top = overflow_.front().at;
-    cur_start_ = ((top >> kBucketShift) << kBucketShift) - kBucketWidth;
-    window_end_ = cur_start_ + static_cast<std::int64_t>(kBucketCount) * kBucketWidth;
-    // Every drained key sits at ring distance in [1, kBucketCount), so the
-    // normal jump below finds the earliest one.
-    drain_overflow_into_window();
+    if (coarse_count_ == 0) {
+      if (overflow_.empty()) return false;
+      // Nothing below the horizon: move the second level up to the block
+      // of the earliest heap key and drain everything that now fits.
+      fine_end_ = (overflow_.front().at >> kBlockShift) << kBlockShift;
+      drain_overflow_into_blocks();
+    }
+    // Nothing within the ring: re-anchor the window one bucket below the
+    // first occupied block and promote the blocks up to and including it
+    // (the ones before it are empty). Its keys land at ring distance >= 1,
+    // so the normal jump below finds the earliest one.
+    const auto b0 = static_cast<std::size_t>(fine_end_ >> kBlockShift) & (kBlockCount - 1);
+    const auto skip = std::countr_zero(std::rotr(blocks_occupied_, static_cast<int>(b0)));
+    cur_start_ = fine_end_ + static_cast<std::int64_t>(skip) * kBlockWidth - kBucketWidth;
+    while (cur_start_ + kWindowSpan - fine_end_ >= kBlockWidth) promote_block();
   }
 
-  // Jump straight to the next occupied bucket. Ring keys always precede
-  // every overflow key (they are within the window, overflow is beyond
-  // it), so the bitmap alone decides where the next event lives.
+  // Jump straight to the next occupied bucket. Ring keys precede every
+  // second-level and heap key (they are below fine_end_), so the bitmap
+  // alone decides where the next event lives.
   const auto slot = static_cast<std::size_t>(cur_start_ >> kBucketShift) & (kBucketCount - 1);
   const std::size_t next = next_occupied_after(slot);
   const auto dist =
       static_cast<std::int64_t>((next - slot - 1) & (kBucketCount - 1)) + 1;
   cur_start_ += dist * kBucketWidth;
-  window_end_ += dist * kBucketWidth;
 
   auto& bucket = buckets_[next];
   occupied_[next >> 6] &= ~(std::uint64_t{1} << (next & 63));
@@ -248,10 +303,10 @@ bool Simulator::advance_bucket() {
     }
   }
 
-  // Admit overflow keys that entered the window as it advanced. They land
-  // at ring distance >= 1 ahead of the bucket just taken (the window moved
-  // by at most kBucketCount - 1 buckets), never inside it.
-  drain_overflow_into_window();
+  // Promote the block the window now covers, if any. The bucket just taken
+  // is below fine_end_, so the window reaches less than two blocks past
+  // it: at most one promotion, landing at ring distance >= 1.
+  if (cur_start_ + kWindowSpan - fine_end_ >= kBlockWidth) promote_block();
   return true;
 }
 

@@ -20,7 +20,8 @@ namespace pathload::sim {
 /// which makes packet arrivals deterministic and runs reproducible for a
 /// fixed RNG seed.
 ///
-/// Internally the engine is a calendar queue rather than a binary heap:
+/// Internally the engine is a two-level calendar queue rather than a binary
+/// heap:
 ///
 ///  - Callbacks live in a slab of reusable slots; the queue itself orders
 ///    only 32-byte keys (timestamp, FIFO ticket, slot pointer), so no
@@ -29,16 +30,33 @@ namespace pathload::sim {
 ///    sorted by (timestamp, ticket) and consumed front-to-back; inserting
 ///    into it is a sorted insert, which for the packet workloads here is
 ///    almost always a plain append.
-///  - Events up to ~33.6 ms out are appended unsorted to one of 256 ring
-///    buckets and sorted only when their bucket becomes current; events
-///    beyond the ring go to a min-heap of keys and are admitted into the
-///    ring as the window rotates forward.
+///  - The ring: 256 buckets of 131 us (a ~33.6 ms window). Keys are
+///    appended unsorted to their bucket and sorted only when it becomes
+///    current.
+///  - The second level: 64 blocks of 2^24 ns (~16.8 ms, half the ring
+///    window) out to a horizon of ~1.07 s. Keys are appended unsorted to
+///    their block in O(1); when the ring window first covers a whole
+///    block, the block moves into the ring as one unit. This is where a
+///    TCP flow's ACKs (one reverse-path delay out) and per-ACK RTO re-arms
+///    (200 ms or more out) land.
+///  - Only keys past the horizon go to a min-heap, and drain into the
+///    second level as the horizon moves forward.
+///
+/// The lanes partition time: with `fine_end_` the ring window's end
+/// aligned down to a block,
+///
+///     fast lane < cur_start_ + 131 us <= ring < fine_end_
+///                                     <= second level < horizon() <= heap
+///
+/// so the earliest key is always in the first non-empty lane, and the
+/// ring's "jump to the next occupied bucket" step never skips a key.
 ///
 /// Every lane pops in the total order by (timestamp, ticket), so the event
 /// sequence is bit-identical to the previous heap scheduler. Degenerate
 /// workloads degrade gracefully: all-near events turn the fast lane into a
-/// sorted vector, all-far events turn the overflow heap into the old binary
-/// heap -- but of trivially movable keys instead of fat closures.
+/// sorted vector, events all past the horizon turn the overflow heap into
+/// the old binary heap -- but of trivially movable keys instead of fat
+/// closures.
 class Simulator {
  public:
   // Sized so that a lambda capturing a Packet (~56 B) plus a couple of
@@ -94,7 +112,7 @@ class Simulator {
   /// Equal-timestamp ordering within the batch follows entry order; against
   /// foreign events it is exactly as if every entry had been scheduled at
   /// the call instant. Because entries arrive presorted, near keys append
-  /// to the fast lane without sorted-insert churn and beyond-window keys
+  /// to the fast lane without sorted-insert churn and keys past the horizon
   /// are heapified once at the end instead of sift-up per key — the
   /// fleet-start path of the batched probe bursts (docs/ENGINE.md).
   std::uint64_t schedule_batch(std::vector<BatchEvent> entries);
@@ -116,6 +134,17 @@ class Simulator {
   /// Live (not cancelled) scheduled occurrences.
   std::size_t pending_events() const { return live_; }
 
+  /// Keys scheduled into each lane of the queue, counted where each key
+  /// first lands (a later move from heap to second level, or from second
+  /// level to ring, is not counted again). Exact and a pure observer.
+  struct LaneInserts {
+    std::uint64_t fast{0};
+    std::uint64_t ring{0};
+    std::uint64_t coarse{0};  ///< the second level
+    std::uint64_t heap{0};
+  };
+  const LaneInserts& lane_inserts() const { return lane_inserts_; }
+
   /// Globally unique packet id generator for this simulation.
   std::uint64_t next_packet_id() { return ++packet_ids_; }
 
@@ -128,8 +157,16 @@ class Simulator {
  private:
   static constexpr int kBucketShift = 17;  // 2^17 ns = 131.072 us per bucket
   static constexpr std::int64_t kBucketWidth = std::int64_t{1} << kBucketShift;
-  static constexpr std::size_t kBucketCount = 256;  // ring window ~33.6 ms
-  static constexpr std::size_t kSlabChunk = 256;    // slots per slab block
+  static constexpr std::size_t kBucketCount = 256;
+  static constexpr std::int64_t kWindowSpan =  // ring window, ~33.6 ms
+      static_cast<std::int64_t>(kBucketCount) * kBucketWidth;
+  static constexpr int kBlockShift = 24;  // 2^24 ns = 16.8 ms per block
+  static constexpr std::int64_t kBlockWidth = std::int64_t{1} << kBlockShift;
+  static constexpr std::size_t kBlockCount = 64;
+  static constexpr std::int64_t kHorizonSpan =  // second level, ~1.07 s
+      static_cast<std::int64_t>(kBlockCount) * kBlockWidth;
+  static constexpr std::size_t kSlabChunk = 256;  // slots per slab block
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};  // end of a pool list
 
   struct Slot {
     Callback cb;
@@ -149,6 +186,9 @@ class Simulator {
     std::uint64_t seq;  // FIFO tie-break ticket
     Slot* slot;
     std::uint32_t gen;  // matches slot->gen, else the key is stale
+    // Second level only: pool index of the next key in the same block.
+    // Fills the struct's padding, so keys stay 32 bytes.
+    std::uint32_t next{0};
   };
   struct KeyBefore {
     bool operator()(const Key& a, const Key& b) const {
@@ -163,9 +203,16 @@ class Simulator {
 
   Slot* alloc_slot();
   void free_slot(Slot* s);
+  std::int64_t horizon() const { return fine_end_ + kHorizonSpan; }
+  bool queue_empty() const {
+    return cur_head_ == cur_.size() && ring_count_ == 0 && coarse_count_ == 0 &&
+           overflow_.empty();
+  }
   void insert(Key k);
   void admit_to_ring(const Key& k);
-  void drain_overflow_into_window();
+  void admit_to_block(const Key& k);
+  void drain_overflow_into_blocks();
+  void promote_block();
   bool pop_live(Key& out);
   bool advance_bucket();
   void fire(const Key& k);
@@ -188,13 +235,24 @@ class Simulator {
   std::vector<Key> cur_;  // sorted near-future fast lane
   std::size_t cur_head_{0};
   std::int64_t cur_start_{0};  // bucket-aligned start of the fast lane
-  std::int64_t window_end_{static_cast<std::int64_t>(kBucketCount) * kBucketWidth};
   std::vector<std::vector<Key>> buckets_;  // ring, unsorted
   std::size_t ring_count_{0};              // keys currently in ring buckets
   // Occupancy bitmap over the ring: advancing the window is a couple of
   // countr_zero jumps instead of a linear scan over empty buckets.
   std::uint64_t occupied_[kBucketCount / 64]{};
-  std::vector<Key> overflow_;  // min-heap of beyond-window keys
+  // Second level: each block is a singly linked list, in insertion order,
+  // threaded through one pool of keys (Key::next). One growing vector, not
+  // one per block, keeps a short-lived Simulator's allocations and memory
+  // at what the old single heap cost.
+  std::int64_t fine_end_{kWindowSpan};  // end of the ring's key range
+  std::vector<Key> pool_;
+  std::uint32_t pool_free_{kNil};  // free list of pool_ entries
+  std::uint32_t block_head_[kBlockCount]{};  // valid where occupied
+  std::uint32_t block_tail_[kBlockCount]{};
+  std::uint64_t blocks_occupied_{0};
+  std::size_t coarse_count_{0};  // keys currently in blocks
+  std::vector<Key> overflow_;  // min-heap of keys past the horizon
+  LaneInserts lane_inserts_;
 
   std::size_t next_occupied_after(std::size_t slot) const;
 

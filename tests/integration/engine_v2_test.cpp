@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "baselines/estimators.hpp"
+#include "core/estimator.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/shard.hpp"
@@ -23,6 +24,8 @@
 #include "scenario/spec.hpp"
 #include "scenario/sweep_runner.hpp"
 #include "sim/monitor.hpp"
+#include "sim/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace pathload::scenario {
 namespace {
@@ -45,6 +48,32 @@ TEST(EngineV2Determinism, GoldenAnchorPaperPathSeed77) {
   EXPECT_EQ(res.range.high.bits_per_sec(), 4111863.2394286562);
   EXPECT_EQ(res.fleets, 4);
   EXPECT_EQ(res.elapsed.nanos(), 24983809069);
+}
+
+TEST(EngineV2Determinism, BtcOnTcpBgGreedyLaneCountsPinned) {
+  // A bulk-TCP run schedules every ACK one reverse-path delay (100 ms) out
+  // and re-arms its RTO (200 ms or more out) per ACK. The event count is the
+  // one the single-level calendar queue produced (the stale RTO events still
+  // fire and count); the lane counts pin where the keys land, so a change
+  // that sends these far keys back through the overflow heap shows here.
+  // The single-level queue pushed 53518 keys onto its heap on this run.
+  ScenarioSpec spec = v2_preset("tcp-bg-greedy");
+  spec.seed = 77;
+  ScenarioInstance inst{std::move(spec)};
+  inst.start();
+  SimProbeChannel channel{inst.simulator(), inst.path()};
+  const auto est = baselines::builtin_estimators().make("btc");
+  Rng rng{77};
+  const core::EstimateReport report = core::run_guarded(*est, channel, rng);
+  ASSERT_EQ(report.outcome, core::EstimateReport::Outcome::kOk) << report.outcome_note;
+
+  const sim::Simulator& sim = inst.simulator();
+  EXPECT_EQ(sim.events_processed(), 89978u);
+  const sim::Simulator::LaneInserts& lanes = sim.lane_inserts();
+  EXPECT_EQ(lanes.fast, 13u);
+  EXPECT_EQ(lanes.ring, 35604u);
+  EXPECT_EQ(lanes.coarse, 50950u);
+  EXPECT_EQ(lanes.heap, 3525u);
 }
 
 TEST(EngineV2Determinism, BatchedMatchesUnbatchedByteIdentical) {

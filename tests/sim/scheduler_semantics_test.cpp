@@ -1,14 +1,16 @@
 // Semantics of the calendar-queue scheduler that the rest of the system
 // leans on: FIFO tie-break, clock advance on an empty queue, timer
 // cancel/reschedule-in-place, reserved FIFO tickets, and -- via a replay
-// against a reference binary-heap scheduler -- that the calendar queue pops
-// the exact event order the old heap engine produced.
+// and a differential run against a reference binary-heap scheduler -- that
+// the calendar queue pops the exact event order the old heap engine
+// produced.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -162,36 +164,90 @@ TEST(SchedulerSemantics, ReservedTicketsKeepUpfrontTieBreakOrder) {
 
 /// The old engine, reduced to its ordering contract: a binary heap over
 /// (timestamp, insertion seq), exactly as src/sim/simulator.cpp had before
-/// the calendar queue.
+/// the calendar queue. Timers are modelled the way the engine models them:
+/// a re-arm or cancel bumps the timer's generation, and a popped key whose
+/// generation is stale is skipped without firing.
 class ReferenceHeap {
  public:
   void schedule_at(std::int64_t at, int tag) {
-    heap_.push_back(Ev{at, ++seq_, tag});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    push(Ev{at, ++seq_, tag, kNoTimer, 0});
+    ++live_;
   }
-  bool run_next(std::int64_t& now, int& tag) {
-    if (heap_.empty()) return false;
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    const Ev ev = heap_.back();
-    heap_.pop_back();
-    now = ev.at;
-    tag = ev.tag;
-    return true;
+  void arm(std::size_t timer, std::int64_t at, int tag) {
+    Timer& tm = timer_at(timer);
+    if (tm.armed) --live_;
+    tm.armed = true;
+    push(Ev{at, ++seq_, tag, timer, ++tm.gen});
+    ++live_;
   }
+  void cancel(std::size_t timer) {
+    Timer& tm = timer_at(timer);
+    if (tm.armed) {
+      ++tm.gen;
+      tm.armed = false;
+      --live_;
+    }
+  }
+  /// One reserved ticket block, entry i taking ticket base + i.
+  void batch(const std::vector<std::int64_t>& ats, int first_tag) {
+    const std::uint64_t base = seq_ + 1;
+    seq_ += ats.size();
+    for (std::size_t i = 0; i < ats.size(); ++i) {
+      push(Ev{ats[i], base + i, first_tag + static_cast<int>(i), kNoTimer, 0});
+    }
+    live_ += ats.size();
+  }
+  /// Pops the earliest live event with timestamp <= `limit`.
+  bool run_next(std::int64_t& now, int& tag,
+                std::int64_t limit = std::numeric_limits<std::int64_t>::max()) {
+    while (!heap_.empty() && heap_.front().at <= limit) {
+      std::pop_heap(heap_.begin(), heap_.end(), Later{});
+      const Ev ev = heap_.back();
+      heap_.pop_back();
+      if (ev.timer != kNoTimer) {
+        Timer& tm = timers_[ev.timer];
+        if (ev.gen != tm.gen) continue;  // re-armed or cancelled since
+        tm.armed = false;
+      }
+      --live_;
+      now = ev.at;
+      tag = ev.tag;
+      return true;
+    }
+    return false;
+  }
+  std::size_t live() const { return live_; }
 
  private:
+  static constexpr std::size_t kNoTimer = ~std::size_t{0};
   struct Ev {
     std::int64_t at;
     std::uint64_t seq;
     int tag;
+    std::size_t timer;
+    std::uint64_t gen;
   };
   struct Later {
     bool operator()(const Ev& a, const Ev& b) const {
       return a.at > b.at || (a.at == b.at && a.seq > b.seq);
     }
   };
+  struct Timer {
+    std::uint64_t gen{0};
+    bool armed{false};
+  };
+  void push(Ev ev) {
+    heap_.push_back(ev);
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+  }
+  Timer& timer_at(std::size_t i) {
+    if (timers_.size() <= i) timers_.resize(i + 1);
+    return timers_[i];
+  }
   std::vector<Ev> heap_;
+  std::vector<Timer> timers_;
   std::uint64_t seq_{0};
+  std::size_t live_{0};
 };
 
 /// Deterministic pseudo-random gaps: mixes sub-bucket, cross-bucket,
@@ -254,6 +310,225 @@ TEST(SchedulerSemantics, ReplayMatchesReferenceHeapOrder) {
   ASSERT_EQ(trace.size(), ref_trace.size());
   for (std::size_t i = 0; i < trace.size(); ++i) {
     ASSERT_EQ(trace[i], ref_trace[i]) << "divergence at event " << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Differential test of the whole scheduling surface against ReferenceHeap:
+// one-shot events, timer re-arm and cancel, schedule_batch (including
+// entries at `now` while the queue is non-empty), and run_until slices that
+// un-pop a key and advance the clock across idle gaps. Gaps cover every
+// lane: the current bucket, the ring, the second level, and past the
+// horizon out to ~20 s.
+
+/// The queue operations of an OpStream, over the engine or the reference.
+class Backend {
+ public:
+  virtual ~Backend() = default;
+  virtual std::int64_t now() const = 0;
+  virtual void schedule_at(std::int64_t at, int tag) = 0;
+  virtual void arm(std::size_t timer, std::int64_t at) = 0;
+  virtual void cancel(std::size_t timer) = 0;
+  virtual void batch(const std::vector<std::int64_t>& ats, int first_tag) = 0;
+  virtual void run_until(std::int64_t t) = 0;
+  virtual std::size_t pending() const = 0;
+};
+
+constexpr std::size_t kDiffTimers = 6;
+constexpr int kTimerTag = -1000;  // timer i fires with tag kTimerTag - i
+constexpr int kSliceMark = -1;    // trace entry: a run_until slice ended
+
+/// Runs a deterministic pseudo-random operation stream against a
+/// Backend. Each operation's draws depend only on the trace so far, so two
+/// backends that pop the same order receive the same operations.
+class OpStream {
+ public:
+  OpStream(std::uint64_t seed, int budget) : lcg_{seed}, budget_{budget} {}
+
+  void attach(Backend& q) { q_ = &q; }
+  const std::vector<std::pair<std::int64_t, int>>& trace() const { return trace_; }
+
+  /// A gap sized for one lane, drawn at random. The lane a key lands in
+  /// also depends on the window's position, so the sizes are approximate.
+  std::int64_t gap() {
+    const std::uint64_t r = draw();
+    switch (r % 9) {
+      case 0: return 0;                                              // exact tie
+      case 1: return static_cast<std::int64_t>(r % 1'000);           // same bucket
+      case 2: return static_cast<std::int64_t>(r % 2'000'000);       // near ring
+      case 3: return static_cast<std::int64_t>(r % 40'000'000);      // ring edge
+      case 4: return 100'000'000;                                    // an ACK out
+      case 5: return 200'000'000 + static_cast<std::int64_t>(r % 50'000'000);  // an RTO
+      case 6: return static_cast<std::int64_t>(r % 1'100'000'000);   // second level
+      case 7: return static_cast<std::int64_t>(r % 1'200'000'000);   // horizon edge
+      default: return static_cast<std::int64_t>(r % 20'000'000'000); // past horizon
+    }
+  }
+
+  void on_fire(int tag) {
+    trace_.emplace_back(q_->now(), tag);
+    act();
+  }
+
+  /// One slice: an outside operation, then run_until over a gap of any
+  /// lane's size (long ones drain the queue and idle the clock).
+  bool slice() {
+    if (next_tag_ >= budget_ && q_->pending() == 0) return false;
+    act();
+    // Refill an idle queue so it re-anchors after the gap.
+    if (q_->pending() == 0 && next_tag_ < budget_) {
+      q_->schedule_at(q_->now() + gap(), next_tag_++);
+    }
+    q_->run_until(q_->now() + gap());
+    trace_.emplace_back(q_->now(), kSliceMark);
+    return true;
+  }
+
+ private:
+  std::uint64_t draw() {
+    lcg_ = lcg_ * 6364136223846793005ull + 1442695040888963407ull;
+    return lcg_ >> 33;
+  }
+
+  void act() {
+    if (next_tag_ >= budget_) return;
+    const std::int64_t now = q_->now();
+    const std::uint64_t r = draw();
+    switch (r % 12) {
+      case 0:
+      case 1: {  // a timer re-armed in place (or armed fresh)
+        q_->arm(static_cast<std::size_t>(draw() % kDiffTimers), now + gap());
+        break;
+      }
+      case 2:
+        q_->cancel(static_cast<std::size_t>(draw() % kDiffTimers));
+        q_->schedule_at(now + gap(), next_tag_++);
+        break;
+      case 3: {  // a batch, half of them starting at `now`
+        const int n = 1 + static_cast<int>(draw() % 8);
+        std::vector<std::int64_t> ats;
+        std::int64_t at = now + (draw() % 2 == 0 ? 0 : gap());
+        for (int i = 0; i < n; ++i) {
+          ats.push_back(at);
+          at += draw() % 3 == 0 ? 0 : gap() / (1 + static_cast<std::int64_t>(draw() % 64));
+        }
+        q_->batch(ats, next_tag_);
+        next_tag_ += n;
+        break;
+      }
+      case 4:  // the ACK + RTO pattern of a TCP sender
+        q_->schedule_at(now + 100'000'000, next_tag_++);
+        q_->schedule_at(now + 250'000'000, next_tag_++);
+        break;
+      case 5:
+        break;  // this chain ends
+      default:
+        q_->schedule_at(now + gap(), next_tag_++);
+        break;
+    }
+  }
+
+  Backend* q_{nullptr};
+  std::uint64_t lcg_;
+  int budget_;
+  int next_tag_{0};
+  std::vector<std::pair<std::int64_t, int>> trace_;
+};
+
+class ReferenceBackend final : public Backend {
+ public:
+  explicit ReferenceBackend(OpStream& d) : ops_{d} {}
+  std::int64_t now() const override { return now_; }
+  void schedule_at(std::int64_t at, int tag) override { ref_.schedule_at(at, tag); }
+  void arm(std::size_t timer, std::int64_t at) override {
+    ref_.arm(timer, at, kTimerTag - static_cast<int>(timer));
+  }
+  void cancel(std::size_t timer) override { ref_.cancel(timer); }
+  void batch(const std::vector<std::int64_t>& ats, int first_tag) override {
+    ref_.batch(ats, first_tag);
+  }
+  void run_until(std::int64_t t) override {
+    int tag = 0;
+    while (ref_.run_next(now_, tag, t)) {
+      ++processed_;
+      ops_.on_fire(tag);
+    }
+    now_ = std::max(now_, t);
+  }
+  std::size_t pending() const override { return ref_.live(); }
+  std::uint64_t processed() const { return processed_; }
+
+ private:
+  OpStream& ops_;
+  ReferenceHeap ref_;
+  std::int64_t now_{0};
+  std::uint64_t processed_{0};
+};
+
+class EngineBackend final : public Backend {
+ public:
+  explicit EngineBackend(OpStream& d) : ops_{d} {
+    for (std::size_t i = 0; i < kDiffTimers; ++i) {
+      const int tag = kTimerTag - static_cast<int>(i);
+      timers_.push_back(sim_.make_timer([this, tag] { ops_.on_fire(tag); }));
+    }
+  }
+  std::int64_t now() const override { return sim_.now().nanos(); }
+  void schedule_at(std::int64_t at, int tag) override {
+    sim_.schedule_at(TimePoint::from_nanos(at), [this, tag] { ops_.on_fire(tag); });
+  }
+  void arm(std::size_t timer, std::int64_t at) override {
+    timers_[timer].schedule_at(TimePoint::from_nanos(at));
+  }
+  void cancel(std::size_t timer) override { timers_[timer].cancel(); }
+  void batch(const std::vector<std::int64_t>& ats, int first_tag) override {
+    std::vector<Simulator::BatchEvent> entries;
+    for (std::size_t i = 0; i < ats.size(); ++i) {
+      const int tag = first_tag + static_cast<int>(i);
+      entries.push_back({TimePoint::from_nanos(ats[i]),
+                         Simulator::Callback{[this, tag] { ops_.on_fire(tag); }}});
+    }
+    sim_.schedule_batch(std::move(entries));
+  }
+  void run_until(std::int64_t t) override { sim_.run_until(TimePoint::from_nanos(t)); }
+  std::size_t pending() const override { return sim_.pending_events(); }
+  const Simulator& sim() const { return sim_; }
+
+ private:
+  OpStream& ops_;
+  Simulator sim_;  // declared before the handles it must outlive
+  std::vector<Simulator::TimerHandle> timers_;
+};
+
+TEST(SchedulerSemantics, DifferentialAgainstReferenceHeapAcrossLanes) {
+  constexpr int kBudget = 4000;  // one-shot events per seed
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    OpStream ref_ops{seed, kBudget};
+    ReferenceBackend ref{ref_ops};
+    ref_ops.attach(ref);
+    while (ref_ops.slice()) {
+    }
+
+    OpStream ops{seed, kBudget};
+    EngineBackend engine{ops};
+    ops.attach(engine);
+    while (ops.slice()) {
+    }
+
+    const auto& want = ref_ops.trace();
+    const auto& got = ops.trace();
+    const std::size_t n = std::min(want.size(), got.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(got[i], want[i]) << "seed " << seed << ": divergence at trace entry " << i;
+    }
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    EXPECT_EQ(engine.sim().events_processed(), ref.processed()) << "seed " << seed;
+    // Every lane was exercised, so a bug in any of them shows in the trace.
+    const Simulator::LaneInserts& lanes = engine.sim().lane_inserts();
+    EXPECT_GT(lanes.fast, 0u) << "seed " << seed;
+    EXPECT_GT(lanes.ring, 0u) << "seed " << seed;
+    EXPECT_GT(lanes.coarse, 0u) << "seed " << seed;
+    EXPECT_GT(lanes.heap, 0u) << "seed " << seed;
   }
 }
 
