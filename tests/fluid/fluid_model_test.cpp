@@ -90,16 +90,22 @@ TEST(FluidPath, Proposition2ExitRateDependsOnNonTightLinks) {
 
 // --- Proposition 1 property sweep -------------------------------------------
 
+// gtest prints a parameter without a PrintTo as its raw bytes, and ctest
+// builds the test names from that. The tail is spelled out and zeroed so no
+// uninitialised padding byte leaks into the names.
 struct Prop1Case {
   double offered_mbps;
   bool expect_increasing;
+  unsigned char zero_tail[7]{};
 };
+static_assert(sizeof(Prop1Case) == 16);
 
 class Proposition1Test : public ::testing::TestWithParam<Prop1Case> {};
 
 TEST_P(Proposition1Test, OwdTrendMatchesRateVsAvailBw) {
   const auto path = paper_default_path();  // A = 4 Mb/s
-  const auto [offered, expect_increasing] = GetParam();
+  const double offered = GetParam().offered_mbps;
+  const bool expect_increasing = GetParam().expect_increasing;
   const Duration delta =
       path.owd_delta_per_packet(Rate::mbps(offered), DataSize::bytes(800));
   if (expect_increasing) {
