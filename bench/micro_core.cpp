@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "scenario/sweep_runner.hpp"
 #include "sim/fluid_traffic.hpp"
 #include "sim/link.hpp"
+#include "sim/path.hpp"
 #include "sim/simulator.hpp"
 #include "sim/traffic.hpp"
 #include "util/alias_sampler.hpp"
@@ -167,6 +169,36 @@ void BM_CrossTrafficSecond(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CrossTrafficSecond);
+
+void BM_LinkPropagationSecond(benchmark::State& state) {
+  // One simulated second of a 3-hop path, 50 ms of propagation in all, with
+  // 10 Pareto sources at 6 Mb/s on each 10 Mb/s hop. Unlike
+  // BM_CrossTrafficSecond every link here has a delay and a downstream (its
+  // junction), so every forwarded packet passes through the link's delay
+  // line. Items are forwarded packets.
+  std::uint64_t forwarded = 0;
+  for (auto _ : state) {
+    sim::Simulator sim;
+    sim::Path path{sim,
+                   {{Rate::mbps(10), Duration::milliseconds(10)},
+                    {Rate::mbps(10), Duration::milliseconds(20)},
+                    {Rate::mbps(10), Duration::milliseconds(20)}}};
+    std::vector<std::unique_ptr<sim::TrafficAggregate>> cross;
+    for (std::size_t i = 0; i < path.hop_count(); ++i) {
+      cross.push_back(std::make_unique<sim::TrafficAggregate>(
+          sim, path.link(i), Rate::mbps(6), 10, sim::Interarrival::kPareto,
+          sim::PacketSizeMix::paper_mix(), Rng{i + 1}));
+      cross.back()->start();
+    }
+    sim.run_for(Duration::seconds(1));
+    for (std::size_t i = 0; i < path.hop_count(); ++i) {
+      forwarded += path.link(i).packets_forwarded();
+    }
+    benchmark::DoNotOptimize(forwarded);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(forwarded));
+}
+BENCHMARK(BM_LinkPropagationSecond);
 
 void BM_CrossTrafficSecondV2(benchmark::State& state) {
   // The same operating point under the engine-v2 mapping: renewal cross

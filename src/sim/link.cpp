@@ -13,7 +13,8 @@ Link::Link(Simulator& sim, std::string name, Rate capacity, Duration prop_delay,
       capacity_{capacity},
       prop_delay_{prop_delay},
       buffer_limit_{buffer_limit},
-      service_timer_{sim.make_timer([this] { finish_service(); })} {
+      service_timer_{sim.make_timer([this] { finish_service(); })},
+      delivery_timer_{sim.make_timer([this] { deliver_head(); })} {
   if (capacity <= Rate::zero()) {
     throw std::invalid_argument{"Link capacity must be positive"};
   }
@@ -125,7 +126,7 @@ void Link::accept_fluid(const Packet& p) {
     if (impair_rng_ != nullptr && impair_.reorder > Duration::zero()) {
       delay += impair_.reorder * impair_rng_->uniform();
     }
-    sim_.schedule_in(delay, [h = downstream_, pkt = p] { h->handle(pkt); });
+    launch(p, delay);
   }
 }
 
@@ -157,7 +158,7 @@ void Link::finish_service() {
     if (impair_rng_ != nullptr && impair_.reorder > Duration::zero()) {
       delay += impair_.reorder * impair_rng_->uniform();
     }
-    sim_.schedule_in(delay, [h = downstream_, pkt = in_service_] { h->handle(pkt); });
+    launch(in_service_, delay);
   }
   if (!queue_.empty()) {
     in_service_ = queue_.front();
@@ -167,6 +168,37 @@ void Link::finish_service() {
   } else {
     busy_ = false;
   }
+}
+
+void Link::launch(const Packet& p, Duration delay) {
+  const InFlight e{(sim_.now() + delay).nanos(), sim_.reserve_fifo_tickets(1),
+                   downstream_, p};
+  // Without jitter every delay is the same, so the entry is the latest and
+  // this is an append. Jitter can place it earlier: insertion-sort it back
+  // by (at, ticket). Its ticket is the newest, so it stays behind entries
+  // with the same time.
+  delay_line_.push_back(e);
+  std::size_t i = delay_line_.size() - 1;
+  for (; i > 0 && e.at < delay_line_[i - 1].at; --i) {
+    delay_line_[i] = delay_line_[i - 1];
+  }
+  if (i + 1 < delay_line_.size()) delay_line_[i] = e;
+  // A new front re-arms the timer; the key armed for the old front goes
+  // stale and is skipped without counting as an event.
+  if (i == 0) delivery_timer_.schedule_at(TimePoint::from_nanos(e.at), e.ticket);
+}
+
+void Link::deliver_head() {
+  // Copy the entry out and re-arm before delivering: the receiver may hand
+  // a packet straight back to this link, which can grow the delay line and
+  // must find the timer armed for the current front.
+  const InFlight head = delay_line_.front();
+  delay_line_.pop_front();
+  if (!delay_line_.empty()) {
+    const InFlight& next = delay_line_.front();
+    delivery_timer_.schedule_at(TimePoint::from_nanos(next.at), next.ticket);
+  }
+  head.target->handle(head.pkt);
 }
 
 std::uint64_t Link::drops_for_flow(std::uint32_t flow) const {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -9,6 +8,7 @@
 
 #include "sim/packet.hpp"
 #include "sim/simulator.hpp"
+#include "util/ring_buffer.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -46,12 +46,19 @@ struct LinkImpairments {
 /// A packet arriving at a busy link waits in a byte-limited buffer; when it
 /// reaches the head it is serialized for size/capacity and then experiences
 /// the link's propagation delay before being delivered downstream.
+///
+/// Packets in propagation wait in the link's delay line (docs/ENGINE.md):
+/// a time-ordered buffer served by one re-armed timer, so a packet in
+/// flight costs no closure and no allocation. Destroying the link discards
+/// them.
 class Link final : public PacketHandler {
  public:
   Link(Simulator& sim, std::string name, Rate capacity, Duration prop_delay,
        DataSize buffer_limit);
 
   /// Downstream receiver of everything this link forwards (not owned).
+  /// A packet already in flight still reaches the receiver that was set
+  /// when it left the link.
   void set_downstream(PacketHandler* downstream) { downstream_ = downstream; }
 
   /// Packet arrival at the tail of the queue (drop-tail if over buffer).
@@ -102,6 +109,8 @@ class Link final : public PacketHandler {
   DataSize queued_bytes() const { return queued_bytes_; }
   std::size_t queue_length() const { return queue_.size(); }
   bool busy() const { return busy_; }
+  /// Packets in propagation towards the downstream receiver.
+  std::size_t in_flight() const { return delay_line_.size(); }
 
   /// Cumulative bytes fully serialized onto the wire (utilization counter —
   /// the quantity an MRTG-style monitor reads, Eq. (2)). In fluid mode this
@@ -139,6 +148,8 @@ class Link final : public PacketHandler {
   void settle_fluid_at(TimePoint now);
   void begin_service();
   void finish_service();
+  void launch(const Packet& p, Duration delay);
+  void deliver_head();
 
   Simulator& sim_;
   std::string name_;
@@ -146,7 +157,7 @@ class Link final : public PacketHandler {
   Duration prop_delay_;
   DataSize buffer_limit_;
 
-  std::deque<Packet> queue_;
+  RingBuffer<Packet> queue_;
   Packet in_service_{};
   // End-of-serialization is one reusable timer re-armed per packet: the
   // per-packet drain event costs no closure construction and no allocation.
@@ -169,6 +180,23 @@ class Link final : public PacketHandler {
   TimePoint fluid_last_{};
 
   PacketHandler* downstream_{nullptr};
+
+  // The delay line: packets in propagation, ordered by (at, ticket) with
+  // the earliest at the front. Each entry reserves its FIFO ticket when it
+  // enters, the moment a per-packet delivery event would have been
+  // scheduled, and binds its receiver then too. delivery_timer_ is armed
+  // for the front entry only, with that entry's own time and ticket, so
+  // deliveries pop in exactly the order, and count exactly the events, that
+  // one scheduled event per packet would.
+  struct InFlight {
+    std::int64_t at;  // delivery time, ns
+    std::uint64_t ticket;
+    PacketHandler* target;
+    Packet pkt;
+  };
+  RingBuffer<InFlight> delay_line_;
+  Simulator::TimerHandle delivery_timer_;
+
   DataSize bytes_forwarded_{};
   std::uint64_t packets_forwarded_{0};
   std::uint64_t drops_{0};

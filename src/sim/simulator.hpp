@@ -59,9 +59,11 @@ namespace pathload::sim {
 /// closures.
 class Simulator {
  public:
-  // Sized so that a lambda capturing a Packet (~56 B) plus a couple of
-  // pointers stays inline; SmallFunction rejects larger captures at compile
-  // time rather than silently allocating.
+  // Sized for the one per-packet capture left: a TCP ACK in flight on the
+  // reverse path (a Packet, 64 B, plus the sender's pointer and liveness
+  // token). Links keep their in-flight packets in delay lines, not in
+  // closures. SmallFunction rejects larger captures at compile time rather
+  // than silently allocating.
   using Callback = SmallFunction<120>;
 
   class TimerHandle;

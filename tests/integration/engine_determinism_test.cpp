@@ -8,8 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/estimators.hpp"
+#include "core/estimator.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/paper_path.hpp"
+#include "scenario/registry.hpp"
+#include "scenario/sim_channel.hpp"
+#include "util/rng.hpp"
 
 namespace pathload::scenario {
 namespace {
@@ -38,6 +43,29 @@ TEST(EngineDeterminism, PathloadRunReplaysHeapSchedulerVerdictBitExact) {
   EXPECT_EQ(res.range.high.bits_per_sec(), 3964114.850317501);
   EXPECT_EQ(res.fleets, 4);
   EXPECT_EQ(res.elapsed.nanos(), 25971036628);
+}
+
+TEST(EngineDeterminism, PaperPathPathloadRunEventAndForwardCountsPinned) {
+  // The exact work of a v1 pathload session on the paper-path preset,
+  // seed 77, run the way the estimator registry runs it. The counts were
+  // captured with one scheduled event per packet delivery, before links had
+  // delay lines: they pin that a delay line fires exactly one event per
+  // delivery and forwards every packet.
+  ScenarioSpec spec = Registry::builtin().at("paper-path");
+  spec.seed = 77;
+  ScenarioInstance inst{std::move(spec)};
+  inst.start();
+  SimProbeChannel channel{inst.simulator(), inst.path()};
+  const auto est = baselines::builtin_estimators().make("pathload");
+  Rng rng{77};
+  const core::EstimateReport report = core::run_guarded(*est, channel, rng);
+  ASSERT_EQ(report.outcome, core::EstimateReport::Outcome::kOk) << report.outcome_note;
+
+  EXPECT_EQ(inst.simulator().events_processed(), 577717u);
+  ASSERT_EQ(inst.path().hop_count(), 3u);
+  EXPECT_EQ(inst.path().link(0).packets_forwarded(), 76852u);
+  EXPECT_EQ(inst.path().link(1).packets_forwarded(), 40497u);
+  EXPECT_EQ(inst.path().link(2).packets_forwarded(), 77681u);
 }
 
 TEST(EngineDeterminism, RepeatedRunsAreRunToRunIdentical) {

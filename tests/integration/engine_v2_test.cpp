@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -57,6 +58,8 @@ TEST(EngineV2Determinism, BtcOnTcpBgGreedyLaneCountsPinned) {
   // fire and count); the lane counts pin where the keys land, so a change
   // that sends these far keys back through the overflow heap shows here.
   // The single-level queue pushed 53518 keys onto its heap on this run.
+  // A link arms a delivery key only when a packet reaches the front of its
+  // delay line, so link deliveries land mostly in the ring.
   ScenarioSpec spec = v2_preset("tcp-bg-greedy");
   spec.seed = 77;
   ScenarioInstance inst{std::move(spec)};
@@ -71,8 +74,8 @@ TEST(EngineV2Determinism, BtcOnTcpBgGreedyLaneCountsPinned) {
   EXPECT_EQ(sim.events_processed(), 89978u);
   const sim::Simulator::LaneInserts& lanes = sim.lane_inserts();
   EXPECT_EQ(lanes.fast, 13u);
-  EXPECT_EQ(lanes.ring, 35604u);
-  EXPECT_EQ(lanes.coarse, 50950u);
+  EXPECT_EQ(lanes.ring, 54015u);
+  EXPECT_EQ(lanes.coarse, 32503u);
   EXPECT_EQ(lanes.heap, 3525u);
 }
 
@@ -217,6 +220,13 @@ struct EquivalenceCase {
   const char* preset;
   double load;
 };
+
+// Without a PrintTo gtest prints the parameter as its raw bytes, and ctest
+// builds the test names from that: the bytes of a `const char*` are a
+// runtime address, so any rebuild could rename the tests.
+void PrintTo(const EquivalenceCase& c, std::ostream* os) {
+  *os << c.preset << " load " << c.load;
+}
 
 class EngineEquivalence : public ::testing::TestWithParam<EquivalenceCase> {};
 
