@@ -79,25 +79,39 @@ void BM_TimerRescheduleInPlace(benchmark::State& state) {
 BENCHMARK(BM_TimerRescheduleInPlace);
 
 // One ACK of a bulk-TCP flow: schedules the next ACK one reverse-path delay
-// (100 ms) out and an RTO re-arm 250 ms out that fires stale and does
-// nothing, as TcpSender's generation-checked RTO events do.
+// (100 ms) out and re-arms the RTO 250 ms out; every RTO arm is superseded
+// by the next ACK's before it is due, so each fires stale and does nothing.
+// Without `rto` the re-arm is a one-shot closure per ACK; with it, the
+// chain's counted timer (Simulator::make_counted_timer), as TcpSender arms.
 struct FarAck {
   sim::Simulator* sim;
   std::uint64_t* stale;
+  sim::Simulator::TimerHandle* rto;
   void operator()() const {
     sim->schedule_in(Duration::milliseconds(100), FarAck{*this});
-    sim->schedule_in(Duration::milliseconds(250), [s = stale] { ++*s; });
+    if (rto != nullptr) {
+      rto->schedule_in(Duration::milliseconds(250));
+    } else {
+      sim->schedule_in(Duration::milliseconds(250), [s = stale] { ++*s; });
+    }
   }
 };
 
 void BM_FarEventChurn(benchmark::State& state) {
   // Far-future churn: 128 ACK chains spread over one 100 ms round keep ~450
   // keys pending, every one scheduled past the 33.6 ms ring -- the key
-  // pattern of the bulk-TCP workloads, which the second level serves.
+  // pattern of the bulk-TCP workloads, which the second level serves. Arg 0
+  // re-arms the RTO with a closure per ACK, arg 1 with one counted timer
+  // per chain; both fire the same events.
   sim::Simulator sim;
   std::uint64_t stale = 0;
-  for (int i = 0; i < 128; ++i) {
-    sim.schedule_in(Duration::nanoseconds(781'250 * i), FarAck{&sim, &stale});
+  std::vector<sim::Simulator::TimerHandle> rtos;  // destroyed before sim
+  if (state.range(0) == 1) {
+    for (int i = 0; i < 128; ++i) rtos.push_back(sim.make_counted_timer([] {}));
+  }
+  for (std::size_t i = 0; i < 128; ++i) {
+    sim.schedule_in(Duration::nanoseconds(781'250 * static_cast<std::int64_t>(i)),
+                    FarAck{&sim, &stale, rtos.empty() ? nullptr : &rtos[i]});
   }
   for (auto _ : state) {
     for (int i = 0; i < 1000; ++i) sim.run_next();
@@ -105,7 +119,7 @@ void BM_FarEventChurn(benchmark::State& state) {
   benchmark::DoNotOptimize(stale);
   state.SetItemsProcessed(state.iterations() * 1000);
 }
-BENCHMARK(BM_FarEventChurn);
+BENCHMARK(BM_FarEventChurn)->Arg(0)->Arg(1);
 
 void BM_AliasSamplerPaperMix(benchmark::State& state) {
   // O(1) weighted packet-size draw (one uniform, no allocation); the seed

@@ -7,7 +7,11 @@
 
 namespace pathload::sim {
 
-Simulator::Simulator() : buckets_(kBucketCount) { cur_.reserve(64); }
+Simulator::Simulator() : buckets_(kBucketCount) {
+  cur_.reserve(64);
+  noop_.cb = [] {};
+  noop_.persistent = true;
+}
 
 Simulator::~Simulator() = default;
 
@@ -34,9 +38,20 @@ Simulator::Slot* Simulator::alloc_slot() {
   return &slab_.back()[slab_used_++];
 }
 
+Simulator::Slot* Simulator::alloc_timer_slot(Callback cb, bool counted) {
+  Slot* s = alloc_slot();
+  s->cb = std::move(cb);
+  s->persistent = true;
+  s->armed = false;
+  // Setting or clearing the flag moves the generation by one; free_slot
+  // stepped it by two, so no key still queued for this slot matches it.
+  s->gen = (s->gen & ~kCountedGen) | (counted ? kCountedGen : 0);
+  return s;
+}
+
 void Simulator::free_slot(Slot* s) {
   s->cb = Callback{};
-  ++s->gen;  // invalidates any key still referencing this slot
+  s->gen += kGenStep;  // invalidates any key still referencing this slot
   s->persistent = false;
   s->armed = false;
   s->firing = false;
@@ -151,19 +166,17 @@ void Simulator::arm_timer(Slot* slot, TimePoint t, std::uint64_t ticket) {
 }
 
 void Simulator::arm_validated(Slot* slot, TimePoint t, std::uint64_t ticket) {
-  if (slot->armed) {  // reschedule-in-place: drop the pending occurrence
-    ++slot->gen;
-    --live_;
-  }
+  if (slot->armed) disarm_timer(slot);  // reschedule-in-place
   slot->armed = true;
   insert(Key{t.nanos(), ticket, slot, slot->gen});
 }
 
 void Simulator::disarm_timer(Slot* slot) {
   if (slot->armed) {
-    ++slot->gen;
+    slot->gen += kGenStep;
     slot->armed = false;
-    --live_;
+    // A counted timer's dropped occurrence stays an event (see pop_live).
+    if ((slot->gen & kCountedGen) == 0) --live_;
   }
 }
 
@@ -317,7 +330,14 @@ bool Simulator::pop_live(Key& out) {
       if (!advance_bucket()) return false;  // unreachable while live_ > 0
     }
     const Key k = cur_[cur_head_++];
-    if (k.slot->gen != k.gen) continue;  // cancelled, skip lazily
+    if (k.slot->gen != k.gen) [[unlikely]] {
+      // Stale: skipped lazily, unless it is a counted timer's -- that is
+      // still an event, one that runs nothing.
+      if ((k.gen & kCountedGen) == 0) continue;
+      --live_;
+      out = Key{k.at, k.seq, &noop_, noop_.gen};
+      return true;
+    }
     --live_;
     out = k;
     return true;

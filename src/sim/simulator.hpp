@@ -37,8 +37,9 @@ namespace pathload::sim {
 ///    window) out to a horizon of ~1.07 s. Keys are appended unsorted to
 ///    their block in O(1); when the ring window first covers a whole
 ///    block, the block moves into the ring as one unit. This is where a
-///    TCP flow's ACKs (one reverse-path delay out) and per-ACK RTO re-arms
-///    (200 ms or more out) land.
+///    TCP sender's per-ACK RTO re-arms (200 ms or more out) land, and the
+///    key of a receiver's ACK delay line when the line's front is one
+///    reverse-path delay out.
 ///  - Only keys past the horizon go to a min-heap, and drain into the
 ///    second level as the horizon moves forward.
 ///
@@ -51,6 +52,11 @@ namespace pathload::sim {
 /// so the earliest key is always in the first non-empty lane, and the
 /// ring's "jump to the next occupied bucket" step never skips a key.
 ///
+/// A key whose generation no longer matches its slot's is stale (its timer
+/// was re-armed, cancelled or released) and is skipped without counting,
+/// unless it belongs to a counted timer (make_counted_timer): then it still
+/// pops as an event that runs nothing.
+///
 /// Every lane pops in the total order by (timestamp, ticket), so the event
 /// sequence is bit-identical to the previous heap scheduler. Degenerate
 /// workloads degrade gracefully: all-near events turn the fast lane into a
@@ -59,12 +65,12 @@ namespace pathload::sim {
 /// closures.
 class Simulator {
  public:
-  // Sized for the one per-packet capture left: a TCP ACK in flight on the
-  // reverse path (a Packet, 64 B, plus the sender's pointer and liveness
-  // token). Links keep their in-flight packets in delay lines, not in
-  // closures. SmallFunction rejects larger captures at compile time rather
-  // than silently allocating.
-  using Callback = SmallFunction<120>;
+  // Sized for the largest capture left: the batched-probe record closure of
+  // SimProbeChannel (its `this` plus a 24 B ProbeRecord). Packets in flight
+  // wait in delay lines (links, TCP ACKs), not in closures, so a slot is
+  // 80 B. SmallFunction rejects larger captures at compile time rather than
+  // silently allocating.
+  using Callback = SmallFunction<32>;
 
   class TimerHandle;
 
@@ -93,6 +99,17 @@ class Simulator {
   /// must be destroyed before the Simulator (declare the Simulator first,
   /// as Testbed does). A handle outliving its Simulator is use-after-free.
   TimerHandle make_timer(Callback cb);
+
+  /// Create a counted timer: a timer whose every arm is an event. Re-arming
+  /// it, cancelling it, or releasing its handle leaves the pending
+  /// occurrence in the queue, where it still pops at its (time, ticket),
+  /// advances the clock and counts in events_processed() and
+  /// pending_events(), but runs nothing. This is exactly what one
+  /// generation-checked one-shot event per arm would do, without a closure
+  /// per arm. TCP's RTO timer and ACK delay line use it, so that their
+  /// event counts stay those of one event per arm and per ACK, also when a
+  /// connection is torn down mid-run. Lifetime as for make_timer.
+  TimerHandle make_counted_timer(Callback cb);
 
   /// Reserve `n` consecutive FIFO tie-break tickets, returning the first.
   ///
@@ -133,7 +150,8 @@ class Simulator {
   void run_all();
 
   std::uint64_t events_processed() const { return processed_; }
-  /// Live (not cancelled) scheduled occurrences.
+  /// Scheduled occurrences that will count as events: the live ones plus a
+  /// counted timer's stale ones.
   std::size_t pending_events() const { return live_; }
 
   /// Keys scheduled into each lane of the queue, counted where each key
@@ -170,10 +188,16 @@ class Simulator {
   static constexpr std::size_t kSlabChunk = 256;  // slots per slab block
   static constexpr std::uint32_t kNil = ~std::uint32_t{0};  // end of a pool list
 
+  // Slot generations step by two; bit 0 marks a counted timer's slot. Keys
+  // copy the slot's generation, so a stale key still knows whether it was
+  // counted, and the live-key path never reads the flag.
+  static constexpr std::uint32_t kGenStep = 2;
+  static constexpr std::uint32_t kCountedGen = 1;
+
   struct Slot {
     Callback cb;
     Slot* next_free{nullptr};
-    std::uint32_t gen{0};
+    std::uint32_t gen{0};  // bit 0: counted timer (kCountedGen)
     bool persistent{false};  // timer slot: survives firing
     bool armed{false};       // timer slot: has a live key in the queue
     bool firing{false};      // timer slot: its callback is on the stack
@@ -205,6 +229,7 @@ class Simulator {
 
   Slot* alloc_slot();
   void free_slot(Slot* s);
+  Slot* alloc_timer_slot(Callback cb, bool counted);
   std::int64_t horizon() const { return fine_end_ + kHorizonSpan; }
   bool queue_empty() const {
     return cur_head_ == cur_.size() && ring_count_ == 0 && coarse_count_ == 0 &&
@@ -233,6 +258,8 @@ class Simulator {
   std::size_t slab_used_{0};  // slots handed out from the newest block
   std::size_t slab_cap_{0};   // size of the newest block
   Slot* free_head_{nullptr};
+  // What a counted timer's stale key fires: a persistent no-op.
+  Slot noop_;
 
   std::vector<Key> cur_;  // sorted near-future fast lane
   std::size_t cur_head_{0};
@@ -270,6 +297,8 @@ class Simulator {
 ///
 /// At most one occurrence is pending per timer: arming an armed timer
 /// replaces the pending occurrence (reschedule-in-place); `cancel` drops it.
+/// On a counted timer (Simulator::make_counted_timer) the replaced or
+/// dropped occurrence stays queued as an event that runs nothing.
 /// The callback stays in its slab slot for the life of the handle, so
 /// periodic sources pay zero allocation and zero callable moves per period.
 class Simulator::TimerHandle {
@@ -346,11 +375,11 @@ class Simulator::TimerHandle {
 };
 
 inline Simulator::TimerHandle Simulator::make_timer(Callback cb) {
-  Slot* s = alloc_slot();
-  s->cb = std::move(cb);
-  s->persistent = true;
-  s->armed = false;
-  return TimerHandle{this, s};
+  return TimerHandle{this, alloc_timer_slot(std::move(cb), false)};
+}
+
+inline Simulator::TimerHandle Simulator::make_counted_timer(Callback cb) {
+  return TimerHandle{this, alloc_timer_slot(std::move(cb), true)};
 }
 
 }  // namespace pathload::sim

@@ -29,10 +29,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
+#include "util/ring_buffer.hpp"
 #include "util/time.hpp"
 #include "util/units.hpp"
 
@@ -87,7 +87,7 @@ class RateSampler {
   };
 
   std::int32_t mss_bytes_;
-  std::deque<TxRecord> inflight_;  ///< append order == send order
+  RingBuffer<TxRecord> inflight_;  ///< append order == send order
   std::uint64_t delivered_{0};
   TimePoint delivered_time_{};
   TimePoint first_tx_{};

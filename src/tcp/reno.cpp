@@ -1,6 +1,7 @@
 #include "tcp/reno.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "tcp/cong.hpp"
 
@@ -9,34 +10,80 @@ namespace pathload::tcp {
 // --- TcpReceiver -----------------------------------------------------------
 
 TcpReceiver::TcpReceiver(sim::Simulator& sim, Duration reverse_delay)
-    : sim_{sim}, reverse_delay_{reverse_delay} {}
+    : sim_{sim},
+      reverse_delay_{reverse_delay},
+      ack_timer_{sim.make_counted_timer([this] { deliver_ack(); })} {}
+
+TcpReceiver::~TcpReceiver() {
+  // The timer is armed for the front ACK. Arming it for each later one in
+  // turn leaves every earlier arm queued as a counted no-op, and releasing
+  // the handle does the same for the last: each ACK still in flight stays
+  // one event at its own (time, ticket), as a per-ACK event would.
+  for (std::size_t i = 1; i < ack_line_.size(); ++i) {
+    ack_timer_.schedule_at(TimePoint::from_nanos(ack_line_[i].at), ack_line_[i].ticket);
+  }
+}
+
+void TcpReceiver::buffer_out_of_order(std::uint64_t seq) {
+  const std::size_t size = out_of_order_.size();
+  if (seq - rcv_next_ >= size) {
+    // Re-lay the buffered seqs, all in (rcv_next_, rcv_next_ + size), over
+    // a ring large enough for `seq`.
+    std::vector<bool> grown(std::bit_ceil(std::max<std::uint64_t>(seq - rcv_next_ + 1, 64)));
+    for (std::uint64_t s = rcv_next_ + 1; s < rcv_next_ + size; ++s) {
+      grown[s & (grown.size() - 1)] = out_of_order_[s & (size - 1)];
+    }
+    out_of_order_ = std::move(grown);
+  }
+  out_of_order_[seq & (out_of_order_.size() - 1)] = true;
+}
+
+bool TcpReceiver::take_out_of_order(std::uint64_t seq) {
+  if (out_of_order_.empty()) return false;
+  auto bit = out_of_order_[seq & (out_of_order_.size() - 1)];
+  const bool buffered = bit;
+  bit = false;
+  return buffered;
+}
 
 void TcpReceiver::handle(const sim::Packet& data) {
-  mss_bytes_ = data.size_bytes;  // learn the segment wire size for stats
   bytes_received_ += data.size();
   const std::uint64_t seq = data.tcp_seq;
   if (seq == rcv_next_) {
     ++rcv_next_;
     // Drain any contiguous out-of-order segments.
-    while (!out_of_order_.empty() && *out_of_order_.begin() == rcv_next_) {
-      out_of_order_.erase(out_of_order_.begin());
-      ++rcv_next_;
-    }
+    while (take_out_of_order(rcv_next_)) ++rcv_next_;
   } else if (seq > rcv_next_) {
-    out_of_order_.insert(seq);
+    buffer_out_of_order(seq);
   }
   // Immediate ACK (no delayed ACKs): dup ACKs drive fast retransmit.
   if (sender_ != nullptr) {
-    sim::Packet ack;
-    ack.id = sim_.next_packet_id();
-    ack.flow = data.flow;
-    ack.kind = sim::PacketKind::kTcpAck;
-    ack.size_bytes = 40;
-    ack.tcp_seq = rcv_next_;
-    sim_.schedule_in(reverse_delay_, [w = sender_alive_, s = sender_, ack] {
-      if (!w.expired()) s->handle(ack);
-    });
+    const AckInFlight e{(sim_.now() + reverse_delay_).nanos(),
+                        sim_.reserve_fifo_tickets(1), sim_.next_packet_id(), rcv_next_,
+                        data.flow};
+    ack_line_.push_back(e);
+    if (ack_line_.size() == 1) {
+      ack_timer_.schedule_at(TimePoint::from_nanos(e.at), e.ticket);
+    }
   }
+}
+
+void TcpReceiver::deliver_ack() {
+  // Copy the entry out and re-arm before delivering, as Link::deliver_head
+  // does: the sender's reaction must find the timer armed for the front.
+  const AckInFlight head = ack_line_.front();
+  ack_line_.pop_front();
+  if (!ack_line_.empty()) {
+    const AckInFlight& next = ack_line_.front();
+    ack_timer_.schedule_at(TimePoint::from_nanos(next.at), next.ticket);
+  }
+  sim::Packet ack;
+  ack.id = head.id;
+  ack.flow = head.flow;
+  ack.kind = sim::PacketKind::kTcpAck;
+  ack.size_bytes = 40;
+  ack.tcp_seq = head.seq;
+  sender_->handle(ack);
 }
 
 // --- TcpSender --------------------------------------------------------------
@@ -52,7 +99,8 @@ TcpSender::TcpSender(sim::Simulator& sim, sim::Path& path, TcpConfig cfg,
       flow_{sim.next_flow_id()},
       ops_{make_congestion_ops(cfg.cc, cfg)},
       sampler_{cfg.mss_bytes},
-      rto_{cfg.initial_rto} {}
+      rto_{cfg.initial_rto},
+      rto_timer_{sim.make_counted_timer([this] { on_rto(); })} {}
 
 TcpSender::~TcpSender() = default;
 
@@ -101,7 +149,7 @@ void TcpSender::transmit(std::uint64_t seq) {
     timed_seq_ = seq;
     timed_sent_ = sim_.now();
   }
-  if (!timer_armed_) arm_rto();
+  if (!rto_timer_.pending()) arm_rto();
 }
 
 void TcpSender::handle(const sim::Packet& ack) {
@@ -180,14 +228,10 @@ void TcpSender::enter_fast_recovery() {
   arm_rto();
 }
 
-void TcpSender::on_rto(std::uint64_t generation) {
-  if (generation != rto_generation_) return;  // stale timer
-  if (next_seq_ == highest_acked_) {
-    // Nothing outstanding: let the timer lapse; the next transmission
-    // re-arms it.
-    timer_armed_ = false;
-    return;
-  }
+void TcpSender::on_rto() {
+  // Nothing outstanding: let the timer lapse; the next transmission re-arms
+  // it.
+  if (next_seq_ == highest_acked_) return;
   ++timeouts_;
   const CongestionOps::Context ctx{
       static_cast<double>(next_seq_ - highest_acked_), srtt_, sim_.now(),
@@ -202,13 +246,7 @@ void TcpSender::on_rto(std::uint64_t generation) {
   try_send();
 }
 
-void TcpSender::arm_rto() {
-  const std::uint64_t gen = ++rto_generation_;
-  timer_armed_ = true;
-  sim_.schedule_in(rto_, [w = std::weak_ptr<const bool>(alive_), this, gen] {
-    if (!w.expired()) on_rto(gen);
-  });
-}
+void TcpSender::arm_rto() { rto_timer_.schedule_in(rto_); }
 
 void TcpSender::take_rtt_sample(Duration sample) {
   rtt_samples_.push_back(sample.secs());
@@ -240,7 +278,7 @@ TcpConnection::TcpConnection(sim::Simulator& sim, sim::Path& path, TcpConfig cfg
     : path_{path},
       receiver_{sim, reverse_delay},
       sender_{sim, path, cfg, segment} {
-  receiver_.connect(&sender_, sender_.alive_token());
+  receiver_.connect(&sender_);
   path_.segment_exit(sender_.segment()).register_flow(sender_.flow(), &receiver_);
 }
 

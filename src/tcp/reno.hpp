@@ -3,13 +3,13 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "sim/path.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/rate_sampler.hpp"
+#include "util/ring_buffer.hpp"
 #include "util/stats.hpp"
 #include "util/units.hpp"
 
@@ -41,36 +41,64 @@ struct TcpConfig {
 /// Receiving endpoint: cumulative ACKs with out-of-order buffering. ACKs
 /// return to the sender over an uncongested fixed-delay reverse path,
 /// matching the paper's experiments where congestion was on the forward
-/// direction. Safe to tear down mid-flight: reverse-path deliveries hold a
-/// liveness token and expire if the sender is gone.
+/// direction.
+///
+/// ACKs in flight wait in the receiver's ACK delay line, served by one
+/// counted timer (Simulator::make_counted_timer) armed for the front entry
+/// with that entry's own time and FIFO ticket: the events and their order
+/// are those of one scheduled event per ACK. Safe to tear down mid-flight:
+/// destroying the receiver turns every ACK still in flight into an event
+/// that runs nothing, at its own time and ticket.
 class TcpReceiver final : public sim::PacketHandler {
  public:
   TcpReceiver(sim::Simulator& sim, Duration reverse_delay);
+  ~TcpReceiver();
 
   /// The sender ACKs are delivered to (set once during connection wiring).
-  /// The liveness token guards the reverse-path delivery events: a
-  /// connection may be torn down while ACKs are still "in flight" in the
-  /// simulator, and those events must then expire silently.
-  void connect(sim::PacketHandler* sender, std::weak_ptr<const bool> sender_alive) {
-    sender_ = sender;
-    sender_alive_ = std::move(sender_alive);
-  }
+  /// ACKs reach it until the receiver is destroyed, so no event may run
+  /// between the sender's destruction and the receiver's; TcpConnection
+  /// destroys the two together.
+  void connect(sim::PacketHandler* sender) { sender_ = sender; }
 
   void handle(const sim::Packet& data) override;
 
   /// Next expected segment = total in-order segments received.
   std::uint64_t cumulative_ack() const { return rcv_next_; }
   DataSize bytes_received() const { return bytes_received_; }
+  /// ACKs on the reverse path towards the sender.
+  std::size_t acks_in_flight() const { return ack_line_.size(); }
+
+  TcpReceiver(const TcpReceiver&) = delete;
+  TcpReceiver& operator=(const TcpReceiver&) = delete;
 
  private:
+  void deliver_ack();
+  void buffer_out_of_order(std::uint64_t seq);
+  bool take_out_of_order(std::uint64_t seq);
+
   sim::Simulator& sim_;
   Duration reverse_delay_;
   sim::PacketHandler* sender_{nullptr};
-  std::weak_ptr<const bool> sender_alive_;
   std::uint64_t rcv_next_{0};
-  std::set<std::uint64_t> out_of_order_;
+  // Segments received above rcv_next_, as a bitmap ring: bit (seq mod
+  // size()) is set for each buffered seq, and every buffered seq lies in
+  // (rcv_next_, rcv_next_ + size()). The size is zero or a power of two
+  // and only grows, so buffering a segment does not allocate.
+  std::vector<bool> out_of_order_;
   DataSize bytes_received_{};
-  std::int32_t mss_bytes_{1460};
+
+  // The ACK delay line. Each entry reserves its FIFO ticket and draws its
+  // packet id on data arrival, when a per-ACK event would have been
+  // scheduled. The reverse delay is constant, so entries only append.
+  struct AckInFlight {
+    std::int64_t at;  // arrival at the sender, ns
+    std::uint64_t ticket;
+    std::uint64_t id;
+    std::uint64_t seq;  // cumulative ACK
+    std::uint32_t flow;
+  };
+  RingBuffer<AckInFlight> ack_line_;
+  sim::Simulator::TimerHandle ack_timer_;
 };
 
 /// Sending endpoint implementing the TCP loss-recovery *mechanism*: fast
@@ -86,6 +114,11 @@ class TcpReceiver final : public sim::PacketHandler {
 /// before link `first` and leaves the path right after link `last`. The
 /// default segment is the whole path, which routes bit-identically to the
 /// pre-segment sender.
+///
+/// The retransmission timer is a counted timer re-armed per ACK: every arm
+/// counts as one event, the superseded ones running nothing, as one
+/// scheduled RTO event per arm would. Destroying the sender leaves its
+/// pending arm as such a no-op.
 class TcpSender final : public sim::PacketHandler {
  public:
   TcpSender(sim::Simulator& sim, sim::Path& path, TcpConfig cfg,
@@ -125,9 +158,8 @@ class TcpSender final : public sim::PacketHandler {
   /// Average goodput of the whole connection so far.
   Rate average_throughput() const;
 
-  /// Liveness token for events that reference this sender (RTO timers,
-  /// reverse-path ACK deliveries). Expires when the sender is destroyed.
-  std::weak_ptr<const bool> alive_token() const { return alive_; }
+  TcpSender(const TcpSender&) = delete;
+  TcpSender& operator=(const TcpSender&) = delete;
 
  private:
   void try_send();
@@ -135,7 +167,7 @@ class TcpSender final : public sim::PacketHandler {
   void on_new_ack(std::uint64_t cum_ack);
   void on_dup_ack();
   void enter_fast_recovery();
-  void on_rto(std::uint64_t generation);
+  void on_rto();
   void arm_rto();
   void take_rtt_sample(Duration sample);
   double effective_window() const;
@@ -159,12 +191,11 @@ class TcpSender final : public sim::PacketHandler {
   bool in_recovery_{false};
   std::uint64_t recover_point_{0};
 
-  // RTO machinery.
+  // RTO machinery; rto_timer_ is the counted timer described above.
   Duration srtt_{Duration::zero()};
   Duration rttvar_{Duration::zero()};
   Duration rto_;
-  std::uint64_t rto_generation_{0};
-  bool timer_armed_{false};
+  sim::Simulator::TimerHandle rto_timer_;
   std::optional<std::uint64_t> timed_seq_{};  ///< Karn: one clean sample at a time
   TimePoint timed_sent_{};
 
@@ -173,9 +204,6 @@ class TcpSender final : public sim::PacketHandler {
   std::uint64_t fast_retransmits_{0};
   std::uint64_t timeouts_{0};
   std::vector<double> rtt_samples_;
-
-  // Destroyed with the sender; scheduled events hold weak copies.
-  std::shared_ptr<const bool> alive_{std::make_shared<const bool>(true)};
 };
 
 /// A fully wired TCP connection over a simulated path: sender at the

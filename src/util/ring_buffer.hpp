@@ -9,7 +9,8 @@ namespace pathload {
 
 /// A grow-only FIFO ring over a power-of-two array.
 ///
-/// Link queues and delay lines push at the back and pop at the front at
+/// Link queues, delay lines (links and TCP ACKs) and the TCP rate
+/// sampler's transmit records push at the back and pop at the front at
 /// packet rate. `std::deque` allocates and frees a node every few packets as
 /// the queue walks through memory; this ring reuses one array and only
 /// allocates when it must double, so a link that has reached its peak

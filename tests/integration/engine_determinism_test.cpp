@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "baselines/estimators.hpp"
 #include "core/estimator.hpp"
 #include "scenario/experiment.hpp"
@@ -66,6 +69,54 @@ TEST(EngineDeterminism, PaperPathPathloadRunEventAndForwardCountsPinned) {
   EXPECT_EQ(inst.path().link(0).packets_forwarded(), 76852u);
   EXPECT_EQ(inst.path().link(1).packets_forwarded(), 40497u);
   EXPECT_EQ(inst.path().link(2).packets_forwarded(), 77681u);
+}
+
+/// What a pathload session on tcp-vs-probe-duel, seed 77, run the way the
+/// estimator registry runs it, costs: events processed, and packets
+/// forwarded per link. The preset's TCP flow restarts every 10 s, so
+/// connections are torn down mid-run with ACKs in flight and the RTO armed.
+struct SessionCounts {
+  std::uint64_t events{0};
+  std::vector<std::uint64_t> forwarded;
+};
+
+SessionCounts duel_session_counts(ScenarioSpec spec) {
+  spec.seed = 77;
+  ScenarioInstance inst{std::move(spec)};
+  inst.start();
+  SimProbeChannel channel{inst.simulator(), inst.path()};
+  const auto est = baselines::builtin_estimators().make("pathload");
+  Rng rng{77};
+  const core::EstimateReport report = core::run_guarded(*est, channel, rng);
+  EXPECT_EQ(report.outcome, core::EstimateReport::Outcome::kOk) << report.outcome_note;
+  SessionCounts counts{inst.simulator().events_processed(), {}};
+  for (std::size_t i = 0; i < inst.path().hop_count(); ++i) {
+    counts.forwarded.push_back(inst.path().link(i).packets_forwarded());
+  }
+  return counts;
+}
+
+TEST(EngineDeterminism, TcpDuelTeardownEventAndForwardCountsPinned) {
+  // The counts were captured with one scheduled event per ACK and per RTO
+  // arm, whose stale and orphaned occurrences still counted as events. They
+  // pin that a torn-down connection leaves each ACK in flight, and its
+  // pending RTO, as exactly one event: dropping the ACK events alone loses
+  // over a hundred from the count.
+  const SessionCounts c = duel_session_counts(Registry::builtin().at("tcp-vs-probe-duel"));
+  EXPECT_EQ(c.events, 605062u);
+  EXPECT_EQ(c.forwarded, (std::vector<std::uint64_t>{72461, 50258, 83215}));
+}
+
+TEST(EngineDeterminism, TcpDuelTeardownCountsPinnedUnderV2PacketTcp) {
+  // The same session under engine v2 with the flow on the packet TCP
+  // backend (mode=packet): fluid cross traffic, packet probes and segments.
+  ScenarioSpec spec = Registry::builtin().at("tcp-vs-probe-duel");
+  spec.engine = EngineVersion::kV2;
+  ASSERT_EQ(spec.flows.size(), 1u);
+  spec.flows[0].mode = FlowSpec::Mode::kPacket;
+  const SessionCounts c = duel_session_counts(std::move(spec));
+  EXPECT_EQ(c.events, 25562u);
+  EXPECT_EQ(c.forwarded, (std::vector<std::uint64_t>{4820, 10111, 10111}));
 }
 
 TEST(EngineDeterminism, RepeatedRunsAreRunToRunIdentical) {

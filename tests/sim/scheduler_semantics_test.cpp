@@ -14,6 +14,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -139,6 +140,29 @@ TEST(SchedulerSemantics, DestroyedTimerNeverFires) {
   EXPECT_EQ(fired, 0);
 }
 
+TEST(SchedulerSemantics, CountedTimerKeepsEveryArmAsAnEvent) {
+  Simulator sim;
+  int fired = 0;
+  auto timer = std::make_unique<Simulator::TimerHandle>(
+      sim.make_counted_timer([&] { ++fired; }));
+  timer->schedule_in(Duration::milliseconds(5));
+  timer->schedule_in(Duration::milliseconds(1));  // the 5 ms arm stays queued
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.run_until(TimePoint::origin() + Duration::milliseconds(2));
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(timer->pending());
+
+  timer->schedule_in(Duration::milliseconds(10));  // due at 12 ms
+  timer->cancel();                                 // still an event
+  timer->schedule_in(Duration::milliseconds(20));  // due at 22 ms
+  timer.reset();                                   // still an event
+  EXPECT_EQ(sim.pending_events(), 3u);
+  sim.run_all();
+  EXPECT_EQ(fired, 1);  // the stale arms ran nothing...
+  EXPECT_EQ(sim.events_processed(), 4u);  // ...but each one counted
+  EXPECT_EQ(sim.now(), TimePoint::origin() + Duration::milliseconds(22));
+}
+
 TEST(SchedulerSemantics, ReservedTicketsKeepUpfrontTieBreakOrder) {
   Simulator sim;
   std::vector<int> order;
@@ -166,9 +190,16 @@ TEST(SchedulerSemantics, ReservedTicketsKeepUpfrontTieBreakOrder) {
 /// (timestamp, insertion seq), exactly as src/sim/simulator.cpp had before
 /// the calendar queue. Timers are modelled the way the engine models them:
 /// a re-arm or cancel bumps the timer's generation, and a popped key whose
-/// generation is stale is skipped without firing.
+/// generation is stale is skipped without firing. Counted timers are
+/// modelled the way TCP's RTO was written before they existed: one closure
+/// per arm that checks the timer's generation when it runs, and does
+/// nothing -- but is still an event -- when the timer was re-armed or
+/// released since.
 class ReferenceHeap {
  public:
+  /// The tag run_next reports for a counted timer's stale closure.
+  static constexpr int kNoopTag = -3;
+
   void schedule_at(std::int64_t at, int tag) {
     push(Ev{at, ++seq_, tag, kNoTimer, 0});
     ++live_;
@@ -179,6 +210,15 @@ class ReferenceHeap {
     tm.armed = true;
     push(Ev{at, ++seq_, tag, timer, ++tm.gen});
     ++live_;
+  }
+  void arm_counted(std::size_t timer, std::int64_t at, int tag) {
+    if (counted_.size() <= timer) counted_.resize(timer + 1);
+    push(Ev{at, ++seq_, tag, timer, ++counted_[timer], true});
+    ++live_;
+  }
+  void release_counted(std::size_t timer) {
+    if (counted_.size() <= timer) counted_.resize(timer + 1);
+    ++counted_[timer];
   }
   void cancel(std::size_t timer) {
     Timer& tm = timer_at(timer);
@@ -204,6 +244,12 @@ class ReferenceHeap {
       std::pop_heap(heap_.begin(), heap_.end(), Later{});
       const Ev ev = heap_.back();
       heap_.pop_back();
+      if (ev.counted) {
+        --live_;
+        now = ev.at;
+        tag = ev.gen == counted_[ev.timer] ? ev.tag : kNoopTag;
+        return true;
+      }
       if (ev.timer != kNoTimer) {
         Timer& tm = timers_[ev.timer];
         if (ev.gen != tm.gen) continue;  // re-armed or cancelled since
@@ -226,6 +272,7 @@ class ReferenceHeap {
     int tag;
     std::size_t timer;
     std::uint64_t gen;
+    bool counted{false};  // a counted timer's closure; timer indexes counted_
   };
   struct Later {
     bool operator()(const Ev& a, const Ev& b) const {
@@ -246,6 +293,7 @@ class ReferenceHeap {
   }
   std::vector<Ev> heap_;
   std::vector<Timer> timers_;
+  std::vector<std::uint64_t> counted_;  // generation per counted timer
   std::uint64_t seq_{0};
   std::size_t live_{0};
 };
@@ -315,11 +363,11 @@ TEST(SchedulerSemantics, ReplayMatchesReferenceHeapOrder) {
 
 // ---------------------------------------------------------------------------
 // Differential test of the whole scheduling surface against ReferenceHeap:
-// one-shot events, timer re-arm and cancel, schedule_batch (including
-// entries at `now` while the queue is non-empty), and run_until slices that
-// un-pop a key and advance the clock across idle gaps. Gaps cover every
-// lane: the current bucket, the ring, the second level, and past the
-// horizon out to ~20 s.
+// one-shot events, timer re-arm and cancel, counted-timer re-arm and
+// release, schedule_batch (including entries at `now` while the queue is
+// non-empty), and run_until slices that un-pop a key and advance the clock
+// across idle gaps. Gaps cover every lane: the current bucket, the ring,
+// the second level, and past the horizon out to ~20 s.
 
 /// The queue operations of an OpStream, over the engine or the reference.
 class Backend {
@@ -329,14 +377,24 @@ class Backend {
   virtual void schedule_at(std::int64_t at, int tag) = 0;
   virtual void arm(std::size_t timer, std::int64_t at) = 0;
   virtual void cancel(std::size_t timer) = 0;
+  virtual void arm_counted(std::size_t timer, std::int64_t at) = 0;
+  /// Release the counted timer's handle, then make a fresh one in its place.
+  virtual void release_counted(std::size_t timer) = 0;
   virtual void batch(const std::vector<std::int64_t>& ats, int first_tag) = 0;
   virtual void run_until(std::int64_t t) = 0;
   virtual std::size_t pending() const = 0;
+  virtual std::uint64_t processed() const = 0;
 };
 
 constexpr std::size_t kDiffTimers = 6;
-constexpr int kTimerTag = -1000;  // timer i fires with tag kTimerTag - i
-constexpr int kSliceMark = -1;    // trace entry: a run_until slice ended
+constexpr std::size_t kDiffCounted = 4;
+constexpr int kTimerTag = -1000;    // timer i fires with tag kTimerTag - i
+constexpr int kCountedTag = -2000;  // counted timer i: tag kCountedTag - i
+constexpr int kSliceMark = -1;      // trace entry: a run_until slice ended
+
+/// One trace entry: the clock, the tag that fired, and the events processed
+/// so far -- which also counts the counted timers' no-op events before it.
+using TraceEntry = std::tuple<std::int64_t, int, std::uint64_t>;
 
 /// Runs a deterministic pseudo-random operation stream against a
 /// Backend. Each operation's draws depend only on the trace so far, so two
@@ -346,7 +404,7 @@ class OpStream {
   OpStream(std::uint64_t seed, int budget) : lcg_{seed}, budget_{budget} {}
 
   void attach(Backend& q) { q_ = &q; }
-  const std::vector<std::pair<std::int64_t, int>>& trace() const { return trace_; }
+  const std::vector<TraceEntry>& trace() const { return trace_; }
 
   /// A gap sized for one lane, drawn at random. The lane a key lands in
   /// also depends on the window's position, so the sizes are approximate.
@@ -366,7 +424,7 @@ class OpStream {
   }
 
   void on_fire(int tag) {
-    trace_.emplace_back(q_->now(), tag);
+    trace_.emplace_back(q_->now(), tag, q_->processed());
     act();
   }
 
@@ -380,7 +438,7 @@ class OpStream {
       q_->schedule_at(q_->now() + gap(), next_tag_++);
     }
     q_->run_until(q_->now() + gap());
-    trace_.emplace_back(q_->now(), kSliceMark);
+    trace_.emplace_back(q_->now(), kSliceMark, q_->processed());
     return true;
   }
 
@@ -394,7 +452,7 @@ class OpStream {
     if (next_tag_ >= budget_) return;
     const std::int64_t now = q_->now();
     const std::uint64_t r = draw();
-    switch (r % 12) {
+    switch (r % 14) {
       case 0:
       case 1: {  // a timer re-armed in place (or armed fresh)
         q_->arm(static_cast<std::size_t>(draw() % kDiffTimers), now + gap());
@@ -418,10 +476,17 @@ class OpStream {
       }
       case 4:  // the ACK + RTO pattern of a TCP sender
         q_->schedule_at(now + 100'000'000, next_tag_++);
-        q_->schedule_at(now + 250'000'000, next_tag_++);
+        q_->arm_counted(static_cast<std::size_t>(draw() % kDiffCounted), now + 250'000'000);
         break;
       case 5:
         break;  // this chain ends
+      case 12:  // a counted timer re-armed (or armed fresh)
+        q_->arm_counted(static_cast<std::size_t>(draw() % kDiffCounted), now + gap());
+        break;
+      case 13:
+        q_->release_counted(static_cast<std::size_t>(draw() % kDiffCounted));
+        q_->schedule_at(now + gap(), next_tag_++);
+        break;
       default:
         q_->schedule_at(now + gap(), next_tag_++);
         break;
@@ -432,7 +497,7 @@ class OpStream {
   std::uint64_t lcg_;
   int budget_;
   int next_tag_{0};
-  std::vector<std::pair<std::int64_t, int>> trace_;
+  std::vector<TraceEntry> trace_;
 };
 
 class ReferenceBackend final : public Backend {
@@ -444,6 +509,10 @@ class ReferenceBackend final : public Backend {
     ref_.arm(timer, at, kTimerTag - static_cast<int>(timer));
   }
   void cancel(std::size_t timer) override { ref_.cancel(timer); }
+  void arm_counted(std::size_t timer, std::int64_t at) override {
+    ref_.arm_counted(timer, at, kCountedTag - static_cast<int>(timer));
+  }
+  void release_counted(std::size_t timer) override { ref_.release_counted(timer); }
   void batch(const std::vector<std::int64_t>& ats, int first_tag) override {
     ref_.batch(ats, first_tag);
   }
@@ -451,18 +520,24 @@ class ReferenceBackend final : public Backend {
     int tag = 0;
     while (ref_.run_next(now_, tag, t)) {
       ++processed_;
-      ops_.on_fire(tag);
+      if (tag == ReferenceHeap::kNoopTag) {
+        ++noops_;
+      } else {
+        ops_.on_fire(tag);
+      }
     }
     now_ = std::max(now_, t);
   }
   std::size_t pending() const override { return ref_.live(); }
-  std::uint64_t processed() const { return processed_; }
+  std::uint64_t processed() const override { return processed_; }
+  std::uint64_t noops() const { return noops_; }
 
  private:
   OpStream& ops_;
   ReferenceHeap ref_;
   std::int64_t now_{0};
   std::uint64_t processed_{0};
+  std::uint64_t noops_{0};
 };
 
 class EngineBackend final : public Backend {
@@ -472,6 +547,7 @@ class EngineBackend final : public Backend {
       const int tag = kTimerTag - static_cast<int>(i);
       timers_.push_back(sim_.make_timer([this, tag] { ops_.on_fire(tag); }));
     }
+    for (std::size_t i = 0; i < kDiffCounted; ++i) counted_.push_back(make_counted(i));
   }
   std::int64_t now() const override { return sim_.now().nanos(); }
   void schedule_at(std::int64_t at, int tag) override {
@@ -481,6 +557,10 @@ class EngineBackend final : public Backend {
     timers_[timer].schedule_at(TimePoint::from_nanos(at));
   }
   void cancel(std::size_t timer) override { timers_[timer].cancel(); }
+  void arm_counted(std::size_t timer, std::int64_t at) override {
+    counted_[timer].schedule_at(TimePoint::from_nanos(at));
+  }
+  void release_counted(std::size_t timer) override { counted_[timer] = make_counted(timer); }
   void batch(const std::vector<std::int64_t>& ats, int first_tag) override {
     std::vector<Simulator::BatchEvent> entries;
     for (std::size_t i = 0; i < ats.size(); ++i) {
@@ -492,12 +572,19 @@ class EngineBackend final : public Backend {
   }
   void run_until(std::int64_t t) override { sim_.run_until(TimePoint::from_nanos(t)); }
   std::size_t pending() const override { return sim_.pending_events(); }
+  std::uint64_t processed() const override { return sim_.events_processed(); }
   const Simulator& sim() const { return sim_; }
 
  private:
+  Simulator::TimerHandle make_counted(std::size_t timer) {
+    const int tag = kCountedTag - static_cast<int>(timer);
+    return sim_.make_counted_timer([this, tag] { ops_.on_fire(tag); });
+  }
+
   OpStream& ops_;
   Simulator sim_;  // declared before the handles it must outlive
   std::vector<Simulator::TimerHandle> timers_;
+  std::vector<Simulator::TimerHandle> counted_;
 };
 
 TEST(SchedulerSemantics, DifferentialAgainstReferenceHeapAcrossLanes) {
@@ -523,6 +610,8 @@ TEST(SchedulerSemantics, DifferentialAgainstReferenceHeapAcrossLanes) {
     }
     ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
     EXPECT_EQ(engine.sim().events_processed(), ref.processed()) << "seed " << seed;
+    // Counted timers left stale occurrences behind, and each one counted.
+    EXPECT_GT(ref.noops(), 0u) << "seed " << seed;
     // Every lane was exercised, so a bug in any of them shows in the trace.
     const Simulator::LaneInserts& lanes = engine.sim().lane_inserts();
     EXPECT_GT(lanes.fast, 0u) << "seed " << seed;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "sim/monitor.hpp"
@@ -60,6 +62,41 @@ TEST(TcpReceiver, DuplicateSegmentsDoNotRegress) {
   rx.handle(p);
   rx.handle(p);  // duplicate
   EXPECT_EQ(rx.cumulative_ack(), 1u);
+}
+
+TEST(TcpReceiver, OutOfOrderBufferMatchesSetModelAcrossGrowth) {
+  // Segments arrive scrambled over windows of up to 700 segments, with
+  // duplicates and stale retransmissions, so the out-of-order ring grows
+  // several times with segments buffered. The cumulative ACK must match a
+  // plain ordered-set model after every arrival.
+  sim::Simulator sim;
+  TcpReceiver rx{sim, Duration::zero()};
+  std::set<std::uint64_t> model_ooo;
+  std::uint64_t model_next = 0;
+  std::uint64_t lcg = 12345;
+  sim::Packet p;
+  p.size_bytes = 1500;
+  for (int i = 0; i < 20000; ++i) {
+    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+    const std::uint64_t window = 1 + (static_cast<std::uint64_t>(i) / 4000) * 175;
+    const std::uint64_t r = lcg >> 33;
+    // Mostly near the hole, sometimes anywhere in the window, sometimes old.
+    std::uint64_t seq = model_next + (r % 3 == 0 ? r % window : r % 4);
+    if (r % 17 == 0 && model_next > 0) seq = model_next - 1;
+    p.tcp_seq = seq;
+    rx.handle(p);
+    if (seq == model_next) {
+      ++model_next;
+      while (!model_ooo.empty() && *model_ooo.begin() == model_next) {
+        model_ooo.erase(model_ooo.begin());
+        ++model_next;
+      }
+    } else if (seq > model_next) {
+      model_ooo.insert(seq);
+    }
+    ASSERT_EQ(rx.cumulative_ack(), model_next) << "arrival " << i;
+  }
+  EXPECT_GT(model_next, 1000u);
 }
 
 TEST(TcpSender, SlowStartDoublesPerRtt) {
@@ -176,10 +213,10 @@ TEST(TcpSender, TwoGreedyFlowsShareFairly) {
 }
 
 TEST(TcpConnection, SafeToDestroyWithEventsInFlight) {
-  // ACK deliveries and RTO timers may still be scheduled when a connection
-  // is torn down (e.g. the Fig. 15 timeline destroys the BTC connection at
-  // an interval boundary). Those events must expire, not dereference a
-  // dead sender.
+  // ACKs may still be in flight and the RTO armed when a connection is
+  // torn down (e.g. the Fig. 15 timeline destroys the BTC connection at an
+  // interval boundary). Their events must run nothing, not dereference a
+  // dead sender or receiver (tests/tcp/ack_line_test.cpp counts them).
   TestNet net{Rate::mbps(8)};
   {
     TcpConnection conn{net.sim, *net.path, TcpConfig{}, Duration::milliseconds(40)};
