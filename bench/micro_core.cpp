@@ -250,42 +250,68 @@ void BM_SimSecondsPerSec(benchmark::State& state) {
 }
 BENCHMARK(BM_SimSecondsPerSec)->Arg(0)->Arg(1);
 
-void BM_ProbeFleetSecond(benchmark::State& state) {
-  // A full v2 pathload session on paper-path (probe fleets over fluid
-  // links) with burst batching off (arg 0) vs on (arg 1): the A/B for the
-  // closed-form burst pass + Simulator::schedule_batch. Before measuring,
-  // pin the contract the speedup rides on: batched and unbatched must be
-  // byte-identical on the seed-77 anchor (bench_smoke_engine_v2 runs this
-  // in the default CI tier).
-  scenario::ScenarioSpec spec = scenario::Registry::builtin().at("paper-path");
+// One v2 pathload session built as the perfbench workloads build it, with
+// the channel capped at `fastest`. `events` receives the Simulator's count.
+core::PathloadResult run_probe_session(const char* preset, std::uint64_t seed,
+                                       scenario::SimProbeChannel::BurstPath fastest,
+                                       std::uint64_t* events = nullptr) {
+  scenario::ScenarioSpec spec = scenario::Registry::builtin().at(preset);
   spec.engine = scenario::EngineVersion::kV2;
-  core::PathloadConfig tool;
-  static const bool identical = [&] {
-    scenario::SimProbeChannel::set_burst_batching(false);
-    const auto off = scenario::run_scenario_once(spec, tool, 77);
-    scenario::SimProbeChannel::set_burst_batching(true);
-    const auto on = scenario::run_scenario_once(spec, tool, 77);
-    return off.range.low.bits_per_sec() == on.range.low.bits_per_sec() &&
-           off.range.high.bits_per_sec() == on.range.high.bits_per_sec() &&
-           off.elapsed.nanos() == on.elapsed.nanos() &&
-           off.fleets == on.fleets;
+  spec.seed = seed;
+  scenario::ScenarioInstance inst{std::move(spec)};
+  inst.start();
+  scenario::SimProbeChannel channel{inst.simulator(), inst.path()};
+  channel.set_fastest_burst_path(fastest);
+  core::PathloadResult res = core::PathloadSession{core::PathloadConfig{}}.run(channel);
+  if (events != nullptr) *events = inst.simulator().events_processed();
+  return res;
+}
+
+void BM_ProbeFleetSecond(benchmark::State& state) {
+  // A full v2 pathload session, seed 77, with every stream event-driven
+  // (even arg) vs the default fast paths (odd arg), on paper-path (args
+  // 0, 1: quiescent and unimpaired) and lossy-tight (args 2, 3: quiescent
+  // and impaired). Before measuring, pin the contract the speedup rides on
+  // (bench_smoke_engine_v2 runs this in the default CI tier): on
+  // paper-path, lossy-tight and flaky-path the default run reports
+  // byte-identically to the event-driven one, and counts exactly the
+  // events of the run without the closed form.
+  using BurstPath = scenario::SimProbeChannel::BurstPath;
+  static const std::string mismatch = [] {
+    for (const char* preset : {"paper-path", "lossy-tight", "flaky-path"}) {
+      std::uint64_t ev_on = 0;
+      std::uint64_t ev_keyed = 0;
+      const auto on = run_probe_session(preset, 77, BurstPath::kClosedForm, &ev_on);
+      const auto off = run_probe_session(preset, 77, BurstPath::kEventDriven);
+      run_probe_session(preset, 77, BurstPath::kKeyedBatch, &ev_keyed);
+      if (off.range.low.bits_per_sec() != on.range.low.bits_per_sec() ||
+          off.range.high.bits_per_sec() != on.range.high.bits_per_sec() ||
+          off.elapsed.nanos() != on.elapsed.nanos() || off.fleets != on.fleets) {
+        return std::string{"fast v2 probe paths are not byte-identical to "
+                           "event-driven on "} + preset + " seed 77";
+      }
+      if (ev_on != ev_keyed) {
+        return std::string{"closed-form bursts miscount events on "} + preset +
+               " seed 77: " + std::to_string(ev_on) + " vs " + std::to_string(ev_keyed);
+      }
+    }
+    return std::string{};
   }();
-  if (!identical) {
-    state.SkipWithError(
-        "batched v2 probe path is not byte-identical to unbatched on "
-        "paper-path seed 77");
+  if (!mismatch.empty()) {
+    state.SkipWithError(mismatch.c_str());
     for (auto _ : state) {
     }
     return;
   }
-  scenario::SimProbeChannel::set_burst_batching(state.range(0) != 0);
+  const char* preset = state.range(0) < 2 ? "paper-path" : "lossy-tight";
+  const BurstPath fastest =
+      state.range(0) % 2 == 0 ? BurstPath::kEventDriven : BurstPath::kClosedForm;
   for (auto _ : state) {
-    const auto res = scenario::run_scenario_once(spec, tool, 77);
+    const auto res = run_probe_session(preset, 77, fastest);
     benchmark::DoNotOptimize(res.fleets);
   }
-  scenario::SimProbeChannel::set_burst_batching(true);
 }
-BENCHMARK(BM_ProbeFleetSecond)->Arg(0)->Arg(1);
+BENCHMARK(BM_ProbeFleetSecond)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 void BM_TcpScenarioSecond(benchmark::State& state) {
   // One simulated second (plus the 2 s warmup run by start()) of the

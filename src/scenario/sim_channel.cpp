@@ -1,28 +1,12 @@
 #include "scenario/sim_channel.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
 #include "tcp/bulk.hpp"
 
 namespace pathload::scenario {
-
-namespace {
-// Process-wide so A/B benches and identity tests can flip every channel at
-// once; relaxed because it is only written between streams.
-std::atomic<bool> g_burst_batching{true};
-}  // namespace
-
-void SimProbeChannel::set_burst_batching(bool on) {
-  g_burst_batching.store(on, std::memory_order_relaxed);
-}
-
-bool SimProbeChannel::burst_batching() {
-  return g_burst_batching.load(std::memory_order_relaxed);
-}
 
 SimProbeChannel::SimProbeChannel(sim::Simulator& sim, sim::Path& path)
     : sim_{sim},
@@ -93,59 +77,93 @@ void SimProbeChannel::Receiver::handle(const sim::Packet& p) {
   channel->records_.push_back(rec);
 }
 
-void SimProbeChannel::run_stream_batched(const core::StreamSpec& spec) {
-  // The batched probe-burst fast path (docs/ENGINE.md): every link is in
-  // fluid mode, so the whole burst's transit is a closed-form pass over the
-  // piecewise-constant workload of each hop — Link::fluid_transit performs
-  // the same state updates in the same floating-point order as the
-  // event-driven chain, so the delivery times (and therefore Eq. 22's OWD
-  // slope and packet-on-packet FIFO spacing) come out byte-identical. Only
-  // the final accounting points are scheduled: one bulk insert of K events
-  // instead of K send timers plus K per-hop delivery closures.
-  std::vector<sim::Simulator::BatchEvent> batch;
-  batch.reserve(send_times_.size());
-  for (std::size_t i = 0; i < send_times_.size(); ++i) {
-    sim::Packet p;
-    p.id = sim_.next_packet_id();
-    p.flow = flow_;
-    p.kind = sim::PacketKind::kProbe;
-    p.size_bytes = spec.packet_size;
-    p.transit = true;
-    p.stream_id = spec.stream_id;
-    p.seq = static_cast<std::uint32_t>(i);
-    p.sender_ts = send_times_[i] + sender_offset_;
-    p.entered = send_times_[i];
-    TimePoint t = send_times_[i];
-    bool dropped = false;
-    for (std::size_t h = 0; h < path_.hop_count(); ++h) {
-      const std::optional<TimePoint> delivery = path_.link(h).fluid_transit(p, t);
-      if (!delivery.has_value()) {
-        dropped = true;
-        break;
-      }
-      t = *delivery;
+TimePoint SimProbeChannel::transit_burst(const core::StreamSpec& spec) {
+  // Hop-major closed-form transit (docs/ENGINE.md). A fluid link's state
+  // moves only at packet arrivals, so feeding each link its arrivals in the
+  // order the event-driven path delivers them makes the same state updates
+  // and impairment draws in the same order. Hop 0's arrivals are the sends,
+  // in send (ticket) order; every later hop takes the previous one's
+  // launches. Leaves the egress arrivals in arrivals_, each packet's last
+  // arrival in settled_ and the launch count in launches_; returns the
+  // latest arrival anywhere, the replaced path's last event.
+  const std::size_t k = send_times_.size();
+  arrivals_.clear();
+  settled_.resize(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    sim_.next_packet_id();  // the id its send would draw
+    arrivals_.push_back(sim::Link::BurstHop{send_times_[i], static_cast<std::uint32_t>(i)});
+  }
+  // Loss, duplication and service read only the flow and size of a packet.
+  const sim::Packet proto = probe_packet(spec);
+  launches_ = 0;
+  TimePoint last = sim_.now();
+  const auto by_time = [](const sim::Link::BurstHop& a, const sim::Link::BurstHop& b) {
+    return a.at < b.at;
+  };
+  for (std::size_t h = 0;; ++h) {
+    for (const sim::Link::BurstHop& a : arrivals_) {
+      settled_[a.seq] = a.at;
+      last = std::max(last, a.at);
     }
-    if (dropped) {
-      // The drop is already on the link counters; the placeholder event
-      // makes the completion loop end at the same instant as the
-      // event-driven path, where the drop is accounted during the arrival
-      // event at the dropping hop (`t` still holds that arrival time).
-      batch.push_back({t, sim::Simulator::Callback{[this] { --batch_pending_; }}});
-    } else {
-      core::ProbeRecord rec;
-      rec.seq = p.seq;
-      rec.sent = p.sender_ts;
-      rec.received = t + receiver_offset_;
-      batch.push_back({t, sim::Simulator::Callback{[this, rec] {
+    if (h == path_.hop_count()) return last;
+    launched_.clear();
+    path_.link(h).serve_fluid_burst(proto, arrivals_, launched_);
+    launches_ += launched_.size();
+    // A delay line delivers by (time, ticket), and its tickets follow launch
+    // order. Jitter is the only way a later launch lands earlier.
+    if (!std::is_sorted(launched_.begin(), launched_.end(), by_time)) {
+      std::stable_sort(launched_.begin(), launched_.end(), by_time);
+    }
+    arrivals_.swap(launched_);
+  }
+}
+
+void SimProbeChannel::resolve_closed_form(const core::StreamSpec& spec, bool impaired) {
+  // Nothing else is queued, so nothing but this burst's own events could
+  // run until its last one. Account the events and tickets of the path this
+  // replaces, so every later event and tie-break is unchanged: the keyed
+  // batch (one per packet) unimpaired, else the event-driven path (one per
+  // send and one per launch).
+  const TimePoint last = transit_burst(spec);
+  for (const sim::Link::BurstHop& a : arrivals_) {
+    records_.push_back(core::ProbeRecord{a.seq, send_times_[a.seq] + sender_offset_,
+                                         a.at + receiver_offset_});
+  }
+  const std::uint64_t n = send_times_.size() + (impaired ? launches_ : 0);
+  sim_.reserve_fifo_tickets(static_cast<std::uint32_t>(n));
+  sim_.fast_forward(last, n);
+}
+
+void SimProbeChannel::run_stream_batched() {
+  // Other events are queued, so only the accounting points are scheduled:
+  // one bulk insert of K events under one ticket block, as if they had all
+  // been scheduled now. Foreign events before the last of them then run
+  // exactly as the event-driven completion loop would run them. The
+  // transit itself used the links' rates at burst start (docs/ENGINE.md).
+  const std::size_t k = send_times_.size();
+  std::vector<bool> received(k, false);
+  for (const sim::Link::BurstHop& a : arrivals_) received[a.seq] = true;
+  std::vector<sim::Simulator::BatchEvent> batch;
+  batch.reserve(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    if (received[i]) {
+      const core::ProbeRecord rec{static_cast<std::uint32_t>(i),
+                                  send_times_[i] + sender_offset_,
+                                  settled_[i] + receiver_offset_};
+      batch.push_back({settled_[i], sim::Simulator::Callback{[this, rec] {
                          records_.push_back(rec);
                          --batch_pending_;
                        }}});
+    } else {
+      // The drop is already on the link counters; the placeholder sits at
+      // the arrival at the dropping hop, where the event-driven path
+      // accounts it, so the completion loop ends at the same instant.
+      batch.push_back({settled_[i], sim::Simulator::Callback{[this] { --batch_pending_; }}});
     }
   }
-  // FIFO keeps survivor deliveries in send order, but a drop's accounting
-  // point (arrival at the dropping hop) can precede an earlier packet's
-  // egress delivery; restore the time order schedule_batch requires. Stable,
-  // so equal-timestamp entries keep packet order.
+  // A drop's accounting point can precede an earlier packet's delivery;
+  // restore the time order schedule_batch requires. Stable, so
+  // equal-timestamp entries keep packet order.
   const auto by_time = [](const sim::Simulator::BatchEvent& a,
                           const sim::Simulator::BatchEvent& b) { return a.at < b.at; };
   if (!std::is_sorted(batch.begin(), batch.end(), by_time)) {
@@ -153,23 +171,24 @@ void SimProbeChannel::run_stream_batched(const core::StreamSpec& spec) {
   }
   batch_pending_ = batch.size();
   sim_.schedule_batch(std::move(batch));
-  // Run up to (and including) the stream's last accounting point. Foreign
-  // events before it are processed exactly as the event-driven completion
-  // loop would have processed them.
   while (batch_pending_ > 0) {
     if (!sim_.run_next()) break;  // unreachable: pending events are queued
   }
 }
 
-void SimProbeChannel::send_next() {
-  const core::StreamSpec& spec = *spec_;
+sim::Packet SimProbeChannel::probe_packet(const core::StreamSpec& spec) const {
   sim::Packet p;
-  p.id = sim_.next_packet_id();
   p.flow = flow_;
   p.kind = sim::PacketKind::kProbe;
   p.size_bytes = spec.packet_size;
   p.transit = true;
   p.stream_id = spec.stream_id;
+  return p;
+}
+
+void SimProbeChannel::send_next() {
+  sim::Packet p = probe_packet(*spec_);
+  p.id = sim_.next_packet_id();
   p.seq = send_idx_;
   p.sender_ts = sim_.now() + sender_offset_;
   p.entered = sim_.now();
@@ -178,6 +197,46 @@ void SimProbeChannel::send_next() {
   if (send_idx_ < send_times_.size()) {
     send_timer_.schedule_at(send_times_[send_idx_], ticket_base_ + send_idx_);
   }
+}
+
+void SimProbeChannel::run_event_driven(const core::StreamSpec& spec, bool impaired) {
+  // Impairment bookkeeping engages only on an impaired path; pristine paths
+  // take the exact pre-impairment accounting (bit-identical runs).
+  const std::uint64_t drops_before = probe_drops();
+  const std::uint64_t dups_before = impaired ? probe_dups() : 0;
+  spec_ = &spec;
+  send_idx_ = 0;
+  ticket_base_ = sim_.reserve_fifo_tickets(static_cast<std::uint32_t>(spec.packet_count));
+  if (!send_times_.empty()) send_timer_.schedule_at(send_times_[0], ticket_base_);
+
+  // Run until every probe copy is accounted for: received or dropped. On
+  // an impaired path the accounting includes link-made duplicates — every
+  // copy created (original K plus dups so far) ends as either a record or
+  // a per-flow drop, so the loop still terminates exactly. Cross-traffic
+  // sources always have future events pending, so the guard against an
+  // empty queue is purely defensive. The per-flow sums cost a hash lookup
+  // per hop, so they are re-read only when a link total moved (every
+  // per-flow drop or duplicate also counts in its link's total).
+  const auto target = static_cast<std::uint64_t>(spec.packet_count);
+  std::uint64_t link_drops = path_drops();
+  std::uint64_t link_dups = impaired ? path_dups() : 0;
+  std::uint64_t drops = 0;  // this flow's, since the stream started
+  std::uint64_t dups = 0;
+  while (static_cast<std::uint64_t>(records_.size()) + drops < target + dups) {
+    if (!sim_.run_next()) break;
+    if (const std::uint64_t d = path_drops(); d != link_drops) {
+      link_drops = d;
+      drops = probe_drops() - drops_before;
+    }
+    if (impaired) {
+      if (const std::uint64_t d = path_dups(); d != link_dups) {
+        link_dups = d;
+        dups = probe_dups() - dups_before;
+      }
+    }
+  }
+  send_timer_.cancel();  // defensive: only armed if the loop exited early
+  spec_ = nullptr;
 }
 
 core::StreamOutcome SimProbeChannel::run_stream(const core::StreamSpec& spec) {
@@ -198,11 +257,7 @@ core::StreamOutcome SimProbeChannel::run_stream(const core::StreamSpec& spec) {
   records_.clear();
   records_.reserve(static_cast<std::size_t>(spec.packet_count));
 
-  // Impairment bookkeeping engages only on an impaired path; pristine paths
-  // take the exact pre-impairment accounting (bit-identical runs).
   const bool impaired = path_impaired();
-  const std::uint64_t drops_before = probe_drops();
-  const std::uint64_t dups_before = impaired ? probe_dups() : 0;
   const TimePoint start = sim_.now();
 
   // Fix the K departure times upfront — periodic multiples of T, or the
@@ -222,43 +277,21 @@ core::StreamOutcome SimProbeChannel::run_stream(const core::StreamSpec& spec) {
     }
     send_times_[static_cast<std::size_t>(i)] = start + nominal_offset + accumulated_gap;
   }
-  if (burst_batching() && !impaired && path_all_fluid()) {
-    run_stream_batched(spec);
+  const bool fluid = path_all_fluid();
+  const bool quiescent = sim_.pending_events() == 0;
+  if (fluid && quiescent && fastest_ == BurstPath::kClosedForm) {
+    ++paths_.closed_form;
+    resolve_closed_form(spec, impaired);
   } else {
-    spec_ = &spec;
-    send_idx_ = 0;
-    ticket_base_ =
-        sim_.reserve_fifo_tickets(static_cast<std::uint32_t>(spec.packet_count));
-    if (!send_times_.empty()) send_timer_.schedule_at(send_times_[0], ticket_base_);
-
-    // Run until every probe copy is accounted for: received or dropped. On
-    // an impaired path the accounting includes link-made duplicates — every
-    // copy created (original K plus dups so far) ends as either a record or
-    // a per-flow drop, so the loop still terminates exactly. Cross-traffic
-    // sources always have future events pending, so the guard against an
-    // empty queue is purely defensive. The per-flow sums cost a hash lookup
-    // per hop, so they are re-read only when a link total moved (every
-    // per-flow drop or duplicate also counts in its link's total).
-    const auto target = static_cast<std::uint64_t>(spec.packet_count);
-    std::uint64_t link_drops = path_drops();
-    std::uint64_t link_dups = impaired ? path_dups() : 0;
-    std::uint64_t drops = 0;  // this flow's, since the stream started
-    std::uint64_t dups = 0;
-    while (static_cast<std::uint64_t>(records_.size()) + drops < target + dups) {
-      if (!sim_.run_next()) break;
-      if (const std::uint64_t d = path_drops(); d != link_drops) {
-        link_drops = d;
-        drops = probe_drops() - drops_before;
-      }
-      if (impaired) {
-        if (const std::uint64_t d = path_dups(); d != link_dups) {
-          link_dups = d;
-          dups = probe_dups() - dups_before;
-        }
-      }
+    ++(!fluid ? paths_.not_fluid : !quiescent ? paths_.queue_busy : paths_.capped);
+    if (fluid && !impaired && fastest_ != BurstPath::kEventDriven) {
+      ++paths_.keyed_batch;
+      transit_burst(spec);
+      run_stream_batched();
+    } else {
+      ++paths_.event_driven;
+      run_event_driven(spec, impaired);
     }
-    send_timer_.cancel();  // defensive: only armed if the loop exited early
-    spec_ = nullptr;
   }
 
   core::StreamOutcome outcome;

@@ -46,15 +46,36 @@ class SimProbeChannel final : public core::ProbeChannel, public core::BulkChanne
 
   std::uint32_t flow() const { return flow_; }
 
-  /// Process-wide toggle for the batched probe-burst fast path (engine v2,
-  /// docs/ENGINE.md). On a fully fluid, unimpaired path run_stream computes
-  /// the whole burst's transit closed-form and bulk-inserts one delivery
-  /// event per packet (Simulator::schedule_batch) instead of simulating
-  /// 2K scheduled events. Default on; switching it off forces the
-  /// event-driven per-packet path (A/B benches and the batched-vs-unbatched
-  /// identity tests). Flip it only between streams.
-  static void set_burst_batching(bool on);
-  static bool burst_batching();
+  /// The three ways a stream is resolved (docs/ENGINE.md), fastest last.
+  enum class BurstPath {
+    /// One scheduled send per probe and one delivery per hop.
+    kEventDriven,
+    /// All-fluid unimpaired path: closed-form transit, then K keyed
+    /// accounting events (Simulator::schedule_batch).
+    kKeyedBatch,
+    /// All-fluid path, empty event queue: one closed-form pass and
+    /// Simulator::fast_forward, no events scheduled.
+    kClosedForm,
+  };
+
+  /// Test and microbenchmark hook: the fastest path a stream may take
+  /// (default kClosedForm). Capped at kKeyedBatch, a channel counts events
+  /// and tickets exactly as the closed form must; kEventDriven is the
+  /// referee for every fast path's outcomes. Change it only between streams.
+  void set_fastest_burst_path(BurstPath p) { fastest_ = p; }
+
+  /// How streams were resolved. A pure observer: counting draws nothing
+  /// and schedules nothing.
+  struct StreamPaths {
+    std::uint64_t closed_form{0};
+    std::uint64_t keyed_batch{0};
+    std::uint64_t event_driven{0};
+    // Why a stream missed the closed form; each such stream counts once.
+    std::uint64_t queue_busy{0};  ///< other events were pending at its start
+    std::uint64_t not_fluid{0};   ///< a link of the path serves packets
+    std::uint64_t capped{0};      ///< set_fastest_burst_path ruled it out
+  };
+  const StreamPaths& stream_paths() const { return paths_; }
 
  private:
   class Receiver final : public sim::PacketHandler {
@@ -69,7 +90,11 @@ class SimProbeChannel final : public core::ProbeChannel, public core::BulkChanne
   std::uint64_t path_dups() const;
   bool path_impaired() const;
   bool path_all_fluid() const;
-  void run_stream_batched(const core::StreamSpec& spec);
+  sim::Packet probe_packet(const core::StreamSpec& spec) const;
+  TimePoint transit_burst(const core::StreamSpec& spec);
+  void resolve_closed_form(const core::StreamSpec& spec, bool impaired);
+  void run_stream_batched();
+  void run_event_driven(const core::StreamSpec& spec, bool impaired);
   void send_next();
 
   sim::Simulator& sim_;
@@ -92,11 +117,21 @@ class SimProbeChannel final : public core::ProbeChannel, public core::BulkChanne
   std::uint64_t ticket_base_{0};
   sim::Simulator::TimerHandle send_timer_;
   std::vector<core::ProbeRecord> records_;
-  // Batched mode: deliveries (and drop accounting points) still pending in
+  // Closed-form passes (transit_burst): the copies arriving at the current
+  // hop and those it launches, swapped hop by hop, and each packet's last
+  // arrival (its delivery or its drop). Reused across streams.
+  std::vector<sim::Link::BurstHop> arrivals_;
+  std::vector<sim::Link::BurstHop> launched_;
+  std::vector<TimePoint> settled_;
+  std::uint64_t launches_{0};
+  // Keyed batch: deliveries (and drop accounting points) still pending in
   // the event queue for the stream in flight; the completion loop runs
   // until it hits zero, which lands the clock on the same instant as the
   // event-driven path.
   std::uint64_t batch_pending_{0};
+
+  BurstPath fastest_{BurstPath::kClosedForm};
+  StreamPaths paths_;
 };
 
 }  // namespace pathload::scenario

@@ -20,7 +20,8 @@ Link::Link(Simulator& sim, std::string name, Rate capacity, Duration prop_delay,
   }
 }
 
-void Link::handle(const Packet& p) {
+template <typename Accept>
+void Link::admit(const Packet& p, Accept&& accept) {
   if (impair_rng_ != nullptr) {
     // Draw order is part of the determinism contract (see LinkImpairments):
     // loss first, then duplication; a disabled knob draws nothing.
@@ -40,6 +41,10 @@ void Link::handle(const Packet& p) {
     }
   }
   accept(p);
+}
+
+void Link::handle(const Packet& p) {
+  admit(p, [this](const Packet& q) { accept(q); });
 }
 
 void Link::accept(const Packet& p) {
@@ -117,16 +122,31 @@ std::optional<TimePoint> Link::fluid_transit(const Packet& p, TimePoint arrival)
   return arrival + (wait + prop_delay_);
 }
 
-void Link::accept_fluid(const Packet& p) {
-  const TimePoint now = sim_.now();
+std::optional<Duration> Link::serve_fluid(const Packet& p, TimePoint now) {
   const std::optional<TimePoint> delivery = fluid_transit(p, now);
-  if (!delivery.has_value()) return;  // drop-tailed (already accounted)
-  if (downstream_ != nullptr) {
-    Duration delay = *delivery - now;
-    if (impair_rng_ != nullptr && impair_.reorder > Duration::zero()) {
-      delay += impair_.reorder * impair_rng_->uniform();
-    }
-    launch(p, delay);
+  // Drop-tailed (already accounted), or forwarded to nobody.
+  if (!delivery.has_value() || downstream_ == nullptr) return std::nullopt;
+  Duration delay = *delivery - now;
+  if (impair_rng_ != nullptr && impair_.reorder > Duration::zero()) {
+    delay += impair_.reorder * impair_rng_->uniform();
+  }
+  return delay;
+}
+
+void Link::accept_fluid(const Packet& p) {
+  if (const std::optional<Duration> delay = serve_fluid(p, sim_.now())) {
+    launch(p, *delay);
+  }
+}
+
+void Link::serve_fluid_burst(const Packet& proto, const std::vector<BurstHop>& arrivals,
+                             std::vector<BurstHop>& launched) {
+  for (const BurstHop& a : arrivals) {
+    admit(proto, [&](const Packet& q) {
+      if (const std::optional<Duration> delay = serve_fluid(q, a.at)) {
+        launched.push_back(BurstHop{a.at + *delay, a.seq});
+      }
+    });
   }
 }
 

@@ -5,6 +5,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "sim/packet.hpp"
 #include "sim/simulator.hpp"
@@ -86,19 +87,31 @@ class Link final : public PacketHandler {
   void add_fluid_rate(Rate delta);
   Rate fluid_rate() const { return Rate::bps(fluid_rate_bps_); }
 
-  /// Closed-form fluid-mode transit (the batched probe-burst fast path,
-  /// docs/ENGINE.md): settle the workload to `arrival`, account the packet
-  /// exactly as accept_fluid would at that instant, and return its delivery
-  /// time at the downstream node (arrival + wait + prop_delay), or nullopt
-  /// if the packet is drop-tailed. Performs the same state updates in the
-  /// same floating-point order as the event-driven path, so feeding a burst
-  /// through in arrival order is byte-identical to simulating it — but
-  /// schedules nothing. Callers own delivery: nothing is handed downstream.
-  /// `arrival` may be in the future; later event-driven settles before that
-  /// point then no-op (the workload is already integrated past them), which
-  /// is the documented approximation when foreign rate changes land inside
-  /// a processed burst. Requires fluid mode and an unimpaired link.
+  /// Closed-form fluid-mode transit: settle the workload to `arrival`,
+  /// account the packet exactly as accept_fluid would at that instant, and
+  /// return its delivery time at the downstream node (arrival + wait +
+  /// prop_delay), or nullopt if the packet is drop-tailed. No impairment
+  /// draws, nothing scheduled, nothing handed downstream. `arrival` may be
+  /// in the future; later event-driven settles before that point then no-op
+  /// (the workload is already integrated past them). Requires fluid mode.
   std::optional<TimePoint> fluid_transit(const Packet& p, TimePoint arrival);
+
+  /// One packet of a closed-form burst pass (serve_fluid_burst): the
+  /// instant it reaches the next node, and its index in the burst.
+  struct BurstHop {
+    TimePoint at;
+    std::uint32_t seq;
+  };
+
+  /// Closed-form service of a burst (docs/ENGINE.md, "Probe bursts"): the
+  /// code handle() runs — loss, duplication (the copy first), fluid service,
+  /// reorder jitter — applied to `arrivals`, which must come in event-driven
+  /// order (by time, ties in launch order). Every packet is `proto` but for
+  /// its index. Each copy handle() would launch is appended to `launched`,
+  /// in launch order, at its delivery time downstream; nothing is scheduled
+  /// or handed on. Requires fluid mode.
+  void serve_fluid_burst(const Packet& proto, const std::vector<BurstHop>& arrivals,
+                         std::vector<BurstHop>& launched);
 
   const std::string& name() const { return name_; }
   Rate capacity() const { return capacity_; }
@@ -142,7 +155,10 @@ class Link final : public PacketHandler {
   Link& operator=(const Link&) = delete;
 
  private:
+  template <typename Accept>
+  void admit(const Packet& p, Accept&& accept);
   void accept(const Packet& p);
+  std::optional<Duration> serve_fluid(const Packet& p, TimePoint now);
   void accept_fluid(const Packet& p);
   void settle_fluid();
   void settle_fluid_at(TimePoint now);

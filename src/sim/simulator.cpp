@@ -390,6 +390,17 @@ void Simulator::run_until(TimePoint t) {
   if (t > now_) now_ = t;
 }
 
+void Simulator::fast_forward(TimePoint t, std::uint64_t n) {
+  if (live_ != 0 || t < now_) {
+    throw std::logic_error{"Simulator::fast_forward: " + std::to_string(live_) +
+                           " events queued, t=" + std::to_string(t.nanos()) +
+                           "ns, now=" + std::to_string(now_.nanos()) + "ns"};
+  }
+  now_ = t;
+  processed_ += n;
+  resolved_ += n;
+}
+
 void Simulator::run_all() {
   while (run_next()) {
   }

@@ -65,7 +65,7 @@ namespace pathload::sim {
 /// closures.
 class Simulator {
  public:
-  // Sized for the largest capture left: the batched-probe record closure of
+  // Sized for the largest capture left: the keyed-batch record closure of
   // SimProbeChannel (its `this` plus a 24 B ProbeRecord). Packets in flight
   // wait in delay lines (links, TCP ACKs), not in closures, so a slot is
   // 80 B. SmallFunction rejects larger captures at compile time rather than
@@ -149,7 +149,20 @@ class Simulator {
   /// Run until the event queue is fully drained.
   void run_all();
 
+  /// Account `n` events that a caller resolved in closed form instead of
+  /// scheduling them, and move the clock to `t`, the last of them. Only
+  /// valid on a quiescent queue: throws std::logic_error if any occurrence
+  /// that would count as an event is queued (pending_events() != 0,
+  /// counted timers' stale keys included), or if `t` is in the past. The
+  /// caller reserves the FIFO tickets the replaced events would have taken
+  /// (reserve_fifo_tickets), so later tie-breaks are unchanged.
+  void fast_forward(TimePoint t, std::uint64_t n);
+
+  /// Events fired, plus events resolved in closed form (fast_forward),
+  /// which count what the path their caller replaced would have fired.
   std::uint64_t events_processed() const { return processed_; }
+  /// The closed-form share of events_processed(). Exact and a pure observer.
+  std::uint64_t events_resolved() const { return resolved_; }
   /// Scheduled occurrences that will count as events: the live ones plus a
   /// counted timer's stale ones.
   std::size_t pending_events() const { return live_; }
@@ -291,6 +304,7 @@ class Simulator {
   std::size_t live_{0};
   std::uint64_t packet_ids_{0};
   std::uint32_t flow_ids_{0};
+  std::uint64_t resolved_{0};  // cold: kept behind the per-event counters
 };
 
 /// A re-armable handle to one scheduled occurrence of a persistent callback.

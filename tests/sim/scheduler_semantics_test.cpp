@@ -228,6 +228,8 @@ class ReferenceHeap {
       --live_;
     }
   }
+  /// Reserve `n` FIFO tickets without scheduling anything.
+  void reserve(std::uint64_t n) { seq_ += n; }
   /// One reserved ticket block, entry i taking ticket base + i.
   void batch(const std::vector<std::int64_t>& ats, int first_tag) {
     const std::uint64_t base = seq_ + 1;
@@ -365,8 +367,8 @@ TEST(SchedulerSemantics, ReplayMatchesReferenceHeapOrder) {
 // Differential test of the whole scheduling surface against ReferenceHeap:
 // one-shot events, timer re-arm and cancel, counted-timer re-arm and
 // release, schedule_batch (including entries at `now` while the queue is
-// non-empty), and run_until slices that un-pop a key and advance the clock
-// across idle gaps. Gaps cover every lane: the current bucket, the ring,
+// non-empty), run_until slices that un-pop a key and advance the clock
+// across idle gaps, and (optionally) fast_forward on a quiescent queue. Gaps cover every lane: the current bucket, the ring,
 // the second level, and past the horizon out to ~20 s.
 
 /// The queue operations of an OpStream, over the engine or the reference.
@@ -382,6 +384,8 @@ class Backend {
   virtual void release_counted(std::size_t timer) = 0;
   virtual void batch(const std::vector<std::int64_t>& ats, int first_tag) = 0;
   virtual void run_until(std::int64_t t) = 0;
+  /// reserve_fifo_tickets(n), then fast_forward(t, n).
+  virtual void fast_forward(std::int64_t t, std::uint64_t n) = 0;
   virtual std::size_t pending() const = 0;
   virtual std::uint64_t processed() const = 0;
 };
@@ -391,6 +395,7 @@ constexpr std::size_t kDiffCounted = 4;
 constexpr int kTimerTag = -1000;    // timer i fires with tag kTimerTag - i
 constexpr int kCountedTag = -2000;  // counted timer i: tag kCountedTag - i
 constexpr int kSliceMark = -1;      // trace entry: a run_until slice ended
+constexpr int kForwardMark = -2;    // trace entry: a fast_forward ended
 
 /// One trace entry: the clock, the tag that fired, and the events processed
 /// so far -- which also counts the counted timers' no-op events before it.
@@ -401,7 +406,8 @@ using TraceEntry = std::tuple<std::int64_t, int, std::uint64_t>;
 /// backends that pop the same order receive the same operations.
 class OpStream {
  public:
-  OpStream(std::uint64_t seed, int budget) : lcg_{seed}, budget_{budget} {}
+  OpStream(std::uint64_t seed, int budget, bool fast_forwards = false)
+      : lcg_{seed}, budget_{budget}, fast_forwards_{fast_forwards} {}
 
   void attach(Backend& q) { q_ = &q; }
   const std::vector<TraceEntry>& trace() const { return trace_; }
@@ -432,6 +438,15 @@ class OpStream {
   /// lane's size (long ones drain the queue and idle the clock).
   bool slice() {
     if (next_tag_ >= budget_ && q_->pending() == 0) return false;
+    if (fast_forwards_ && draw() % 4 == 0) {
+      // Let every chain end, then resolve a burst on the quiescent queue as
+      // SimProbeChannel does. Re-armed plain timers may leave stale keys.
+      quiet_ = true;
+      while (q_->pending() != 0) q_->run_until(q_->now() + 25'000'000'000);
+      quiet_ = false;
+      q_->fast_forward(q_->now() + gap(), 1 + draw() % 300);
+      trace_.emplace_back(q_->now(), kForwardMark, q_->processed());
+    }
     act();
     // Refill an idle queue so it re-anchors after the gap.
     if (q_->pending() == 0 && next_tag_ < budget_) {
@@ -449,7 +464,7 @@ class OpStream {
   }
 
   void act() {
-    if (next_tag_ >= budget_) return;
+    if (quiet_ || next_tag_ >= budget_) return;
     const std::int64_t now = q_->now();
     const std::uint64_t r = draw();
     switch (r % 14) {
@@ -496,6 +511,8 @@ class OpStream {
   Backend* q_{nullptr};
   std::uint64_t lcg_;
   int budget_;
+  bool fast_forwards_;
+  bool quiet_{false};  // chains end instead of scheduling their successor
   int next_tag_{0};
   std::vector<TraceEntry> trace_;
 };
@@ -527,6 +544,11 @@ class ReferenceBackend final : public Backend {
       }
     }
     now_ = std::max(now_, t);
+  }
+  void fast_forward(std::int64_t t, std::uint64_t n) override {
+    ref_.reserve(n);
+    now_ = t;
+    processed_ += n;
   }
   std::size_t pending() const override { return ref_.live(); }
   std::uint64_t processed() const override { return processed_; }
@@ -571,6 +593,10 @@ class EngineBackend final : public Backend {
     sim_.schedule_batch(std::move(entries));
   }
   void run_until(std::int64_t t) override { sim_.run_until(TimePoint::from_nanos(t)); }
+  void fast_forward(std::int64_t t, std::uint64_t n) override {
+    sim_.reserve_fifo_tickets(static_cast<std::uint32_t>(n));
+    sim_.fast_forward(TimePoint::from_nanos(t), n);
+  }
   std::size_t pending() const override { return sim_.pending_events(); }
   std::uint64_t processed() const override { return sim_.events_processed(); }
   const Simulator& sim() const { return sim_; }
@@ -587,16 +613,16 @@ class EngineBackend final : public Backend {
   std::vector<Simulator::TimerHandle> counted_;
 };
 
-TEST(SchedulerSemantics, DifferentialAgainstReferenceHeapAcrossLanes) {
+void expect_matches_reference(bool fast_forwards) {
   constexpr int kBudget = 4000;  // one-shot events per seed
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
-    OpStream ref_ops{seed, kBudget};
+    OpStream ref_ops{seed, kBudget, fast_forwards};
     ReferenceBackend ref{ref_ops};
     ref_ops.attach(ref);
     while (ref_ops.slice()) {
     }
 
-    OpStream ops{seed, kBudget};
+    OpStream ops{seed, kBudget, fast_forwards};
     EngineBackend engine{ops};
     ops.attach(engine);
     while (ops.slice()) {
@@ -618,7 +644,26 @@ TEST(SchedulerSemantics, DifferentialAgainstReferenceHeapAcrossLanes) {
     EXPECT_GT(lanes.ring, 0u) << "seed " << seed;
     EXPECT_GT(lanes.coarse, 0u) << "seed " << seed;
     EXPECT_GT(lanes.heap, 0u) << "seed " << seed;
+    if (fast_forwards) {
+      EXPECT_GT(engine.sim().events_resolved(), 0u) << "seed " << seed;
+      const bool forwarded = std::any_of(got.begin(), got.end(), [](const TraceEntry& e) {
+        return std::get<1>(e) == kForwardMark;
+      });
+      EXPECT_TRUE(forwarded) << "seed " << seed;
+    }
   }
+}
+
+TEST(SchedulerSemantics, DifferentialAgainstReferenceHeapAcrossLanes) {
+  expect_matches_reference(false);
+}
+
+TEST(SchedulerSemantics, FastForwardDifferentialAgainstReferenceHeap) {
+  // fast_forward moves the clock past the calendar window with the queue
+  // quiescent (stale keys of re-armed plain timers may still sit in it);
+  // every later schedule must re-anchor or land in the right lane, and pop
+  // in (time, ticket) order with the reserved tickets accounted.
+  expect_matches_reference(true);
 }
 
 }  // namespace

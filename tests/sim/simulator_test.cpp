@@ -102,5 +102,67 @@ TEST(Simulator, IdGeneratorsAreUnique) {
   EXPECT_NE(fresh.next_flow_id(), 0u);
 }
 
+TEST(Simulator, FastForwardCountsResolvedEventsAndMovesTheClock) {
+  Simulator sim;
+  sim.schedule_in(Duration::milliseconds(1), [] {});
+  sim.run_all();
+  const TimePoint t = sim.now() + Duration::milliseconds(7);
+  sim.fast_forward(t, 12);
+  EXPECT_EQ(sim.now(), t);
+  // events_processed() counts fired and resolved events; events_resolved()
+  // tells the two apart.
+  EXPECT_EQ(sim.events_processed(), 13u);
+  EXPECT_EQ(sim.events_resolved(), 12u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_THROW(sim.fast_forward(t - Duration::nanoseconds(1), 1), std::logic_error);
+}
+
+TEST(Simulator, FastForwardThrowsWithALiveKeyQueued) {
+  Simulator sim;
+  sim.schedule_in(Duration::milliseconds(1), [] {});
+  EXPECT_THROW(sim.fast_forward(sim.now() + Duration::milliseconds(2), 1), std::logic_error);
+  EXPECT_EQ(sim.events_processed(), 0u);  // a throwing call changes nothing
+  EXPECT_EQ(sim.now(), TimePoint::origin());
+  sim.run_all();
+
+  // An armed timer is a live key.
+  auto timer = sim.make_timer([] {});
+  timer.schedule_in(Duration::milliseconds(1));
+  EXPECT_THROW(sim.fast_forward(sim.now() + Duration::milliseconds(2), 1), std::logic_error);
+  // Re-armed, a plain timer's old key goes stale and no longer counts...
+  timer.schedule_in(Duration::milliseconds(3));
+  timer.cancel();
+  EXPECT_NO_THROW(sim.fast_forward(sim.now() + Duration::milliseconds(2), 1));
+
+  // ...but a counted timer's stale key is still an event to come.
+  auto counted = sim.make_counted_timer([] {});
+  counted.schedule_in(Duration::milliseconds(1));
+  counted.cancel();
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_THROW(sim.fast_forward(sim.now() + Duration::milliseconds(2), 1), std::logic_error);
+  sim.run_all();
+  EXPECT_NO_THROW(sim.fast_forward(sim.now(), 0));
+}
+
+TEST(Simulator, ScheduleAfterFastForwardPastTheWindowReAnchors) {
+  // The clock jumps seconds past the calendar window; the next key past the
+  // window lands in the fast lane of a re-anchored window, and later ones
+  // still pop in (time, ticket) order.
+  Simulator sim;
+  sim.fast_forward(TimePoint::origin() + Duration::seconds(5), 3);
+  const std::uint64_t fast_before = sim.lane_inserts().fast;
+  std::vector<int> order;
+  const TimePoint base = sim.now() + Duration::milliseconds(40);
+  sim.schedule_at(base, [&] { order.push_back(1); });
+  EXPECT_EQ(sim.lane_inserts().fast, fast_before + 1);
+  sim.schedule_at(base + Duration::seconds(3), [&] { order.push_back(4); });
+  sim.schedule_at(base + Duration::milliseconds(20), [&] { order.push_back(3); });
+  sim.schedule_at(base, [&] { order.push_back(2); });
+  sim.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(sim.events_processed(), 7u);
+  EXPECT_EQ(sim.events_resolved(), 3u);
+}
+
 }  // namespace
 }  // namespace pathload::sim

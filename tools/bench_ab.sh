@@ -2,8 +2,9 @@
 # bench_ab — interleaved A/B of the engine benchmarks (v1 vs v2).
 #
 # Runs bench/micro_core's engine pairs — BM_CrossTrafficSecond[V2],
-# BM_SimSecondsPerSec/{0,1}, BM_ProbeFleetSecond/{0,1} (batched probe
-# bursts off/on), BM_TcpScenarioSecond/{0,1} (packet vs fluid TCP) and
+# BM_SimSecondsPerSec/{0,1}, BM_ProbeFleetSecond/{0,1} (event-driven vs
+# fast probe bursts on paper-path), BM_TcpScenarioSecond/{0,1} (packet vs
+# fluid TCP) and
 # BM_CcDuelSecond/{0,1,2} (the reno|cubic|bbr policy duel) —
 # with repetitions under random interleaving (so drift in machine load
 # lands on both arms alike), takes the per-arm medians from the benchmark
