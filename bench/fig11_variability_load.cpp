@@ -34,8 +34,7 @@ int main() {
   // The shared path shape (single 12.4 Mb/s hop, Pareto cross traffic,
   // 1 s warmup) lives in the registry; each point overrides only the
   // swept utilization and its seed.
-  const scenario::PaperPathConfig base =
-      *scenario::Registry::builtin().at("fig11-access").paper;
+  const scenario::ScenarioSpec& base = scenario::Registry::builtin().at("fig11-access");
 
   for (const auto& load : loads) {
     // Enumerate the points (drawing utilizations and seeds) sequentially so
@@ -43,10 +42,8 @@ int main() {
     Rng rng{bench::seed() + static_cast<std::uint64_t>(load.lo * 1000)};
     std::vector<scenario::SweepPoint> points(static_cast<std::size_t>(runs));
     for (auto& pt : points) {
-      pt.path = base;
-      pt.path.tight_utilization = rng.uniform(load.lo, load.hi);
-      pt.path.seed = rng.engine()();
-      pt.seed = pt.path.seed;
+      pt.spec = base.with_load(rng.uniform(load.lo, load.hi));
+      pt.seed = rng.engine()();
       // pt.tool: defaults (omega = 1, chi = 1.5 Mb/s, Section VI)
     }
     const auto results = scenario::sweep_pathload(points, runner);

@@ -39,17 +39,14 @@ int main() {
   scenario::SweepRunner runner;
 
   for (const auto& p : paths) {
-    const scenario::PaperPathConfig base =
-        *scenario::Registry::builtin().at(p.preset).paper;
+    const scenario::ScenarioSpec& base = scenario::Registry::builtin().at(p.preset);
     // Points (utilization draws and seeds) are enumerated sequentially; only
     // the independent simulations run on the pool.
     Rng rng{bench::seed() + static_cast<std::uint64_t>(p.capacity_mbps * 10)};
     std::vector<scenario::SweepPoint> points(static_cast<std::size_t>(runs));
     for (auto& pt : points) {
-      pt.path = base;
-      pt.path.tight_utilization = rng.uniform(0.60, 0.70);
-      pt.path.seed = rng.engine()();
-      pt.seed = pt.path.seed;
+      pt.spec = base.with_load(rng.uniform(0.60, 0.70));
+      pt.seed = rng.engine()();
     }
     const auto results = scenario::sweep_pathload(points, runner);
     std::vector<double> rhos;

@@ -414,10 +414,12 @@ void BM_SweepRunner(benchmark::State& state) {
   path.tight_capacity = Rate::mbps(10);
   path.tight_utilization = 0.5;
   path.warmup = Duration::milliseconds(200);
+  const scenario::ScenarioSpec spec =
+      scenario::ScenarioSpec::from_paper("sweep", "", path);
   const core::PathloadConfig tool;
   scenario::SweepRunner runner{static_cast<int>(state.range(0))};
   for (auto _ : state) {
-    const auto rr = scenario::sweep_pathload_repeated(path, tool, 4, /*seed0=*/7, runner);
+    const auto rr = scenario::sweep_scenario_repeated(spec, tool, 4, /*seed0=*/7, runner);
     benchmark::DoNotOptimize(rr.results.data());
   }
   state.SetItemsProcessed(state.iterations() * 4);

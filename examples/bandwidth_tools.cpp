@@ -30,6 +30,7 @@
 #include "net/live_channel.hpp"
 #include "scenario/paper_path.hpp"
 #include "scenario/sim_channel.hpp"
+#include "scenario/spec.hpp"
 #include "util/table.hpp"
 
 using namespace pathload;
@@ -135,12 +136,14 @@ int run_sim() {
   network.tight_capacity = Rate::mbps(10);
   network.tight_utilization = 0.55;  // A = 4.5 Mb/s, C = 10 Mb/s
   network.model = sim::Interarrival::kPareto;
+  const scenario::ScenarioSpec spec =
+      scenario::ScenarioSpec::from_paper("network", "", network);
 
   std::printf("path: C = 10 Mb/s, u = 55%% -> avail-bw A = 4.5 Mb/s\n\n");
   Table table{{"tool", "reports", "value_Mbps", "intrusive?"}};
 
   {
-    scenario::Testbed bed{network};
+    scenario::ScenarioInstance bed{spec};
     bed.start();
     scenario::SimProbeChannel ch{bed.simulator(), bed.path()};
     core::PathloadSession session{core::PathloadConfig{}};
@@ -151,7 +154,7 @@ int run_sim() {
                    "no (avg rate <= R/10)"});
   }
   {
-    scenario::Testbed bed{network};
+    scenario::ScenarioInstance bed{spec};
     bed.start();
     scenario::SimProbeChannel ch{bed.simulator(), bed.path()};
     const Rate adr = baselines::CprobeEstimator{}.measure(ch);
@@ -159,7 +162,7 @@ int run_sim() {
                    Table::num(adr.mbits_per_sec(), 1), "mildly (short bursts)"});
   }
   {
-    scenario::Testbed bed{network};
+    scenario::ScenarioInstance bed{spec};
     bed.start();
     scenario::SimProbeChannel ch{bed.simulator(), bed.path()};
     const Rate cap = baselines::PacketPairEstimator{}.measure(ch);
@@ -167,7 +170,7 @@ int run_sim() {
                    "no"});
   }
   {
-    scenario::Testbed bed{network};
+    scenario::ScenarioInstance bed{spec};
     bed.start();
     scenario::SimProbeChannel ch{bed.simulator(), bed.path()};
     baselines::ToppConfig tc;
@@ -181,7 +184,7 @@ int run_sim() {
                    "moderately (rate sweep)"});
   }
   {
-    scenario::Testbed bed{network};
+    scenario::ScenarioInstance bed{spec};
     bed.start();
     baselines::BtcConfig bc;
     bc.duration = Duration::seconds(60);

@@ -35,8 +35,9 @@ int main(int argc, char** argv) {
     path.model = sim::Interarrival::kPareto;
 
     core::PathloadConfig tool;
-    const auto rr = scenario::sweep_pathload_repeated(path, tool, runs,
-                                                      /*seed0=*/42 + util * 100, runner);
+    const auto rr = scenario::sweep_scenario_repeated(
+        scenario::ScenarioSpec::from_paper("dynamics", "", path), tool, runs,
+        /*seed0=*/42 + util * 100, runner);
     const auto rhos = rr.relative_variations();
     table.add_row({Table::num(util * 100, 0),
                    Table::num(12.4 * (1 - util), 1),

@@ -13,6 +13,7 @@
 #include "core/session.hpp"
 #include "scenario/paper_path.hpp"
 #include "scenario/sim_channel.hpp"
+#include "scenario/spec.hpp"
 
 using namespace pathload;
 
@@ -24,7 +25,8 @@ int main() {
   network.tight_utilization = 0.60;  // avail-bw = 10 * (1 - 0.6) = 4 Mb/s
   network.model = sim::Interarrival::kPareto;
 
-  scenario::Testbed testbed{network};
+  scenario::ScenarioInstance testbed{
+      scenario::ScenarioSpec::from_paper("quickstart", "", network)};
   testbed.start();  // cross traffic + queue warmup
 
   // 2. A probe channel through that network and a pathload session on it.

@@ -18,6 +18,7 @@
 #include "core/session.hpp"
 #include "scenario/paper_path.hpp"
 #include "scenario/sim_channel.hpp"
+#include "scenario/spec.hpp"
 #include "sim/rtt_probe.hpp"
 #include "sim/traffic.hpp"
 #include "util/stats.hpp"
@@ -29,7 +30,7 @@ namespace {
 /// Play `rate` CBR traffic through the (already loaded) path for a while
 /// and report the 95th-percentile one-way queueing jitter the "viewer"
 /// would have to buffer for.
-double playback_jitter_ms(scenario::Testbed& bed, Rate rate) {
+double playback_jitter_ms(scenario::ScenarioInstance& bed, Rate rate) {
   auto& sim = bed.simulator();
   class Viewer final : public sim::PacketHandler {
    public:
@@ -80,7 +81,8 @@ int main() {
   network.nontight_utilization = 0.5;
   network.model = sim::Interarrival::kPareto;
 
-  scenario::Testbed bed{network};
+  scenario::ScenarioInstance bed{
+      scenario::ScenarioSpec::from_paper("network", "", network)};
   bed.start();
 
   // Measure.

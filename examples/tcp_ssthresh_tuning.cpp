@@ -15,6 +15,7 @@
 #include "core/session.hpp"
 #include "scenario/paper_path.hpp"
 #include "scenario/sim_channel.hpp"
+#include "scenario/spec.hpp"
 #include "tcp/reno.hpp"
 #include "util/table.hpp"
 
@@ -36,7 +37,8 @@ TransferStats run_transfer(double ssthresh_segments, std::uint64_t seed) {
   network.buffer_drain = Duration::milliseconds(60);
   network.model = sim::Interarrival::kPareto;
   network.seed = seed;
-  scenario::Testbed bed{network};
+  scenario::ScenarioInstance bed{
+      scenario::ScenarioSpec::from_paper("network", "", network)};
   bed.start();
 
   tcp::TcpConfig cfg;
@@ -64,7 +66,8 @@ int main() {
   network.tight_capacity = Rate::mbps(10);
   network.tight_utilization = 0.4;
   network.model = sim::Interarrival::kPareto;
-  scenario::Testbed bed{network};
+  scenario::ScenarioInstance bed{
+      scenario::ScenarioSpec::from_paper("network", "", network)};
   bed.start();
   scenario::SimProbeChannel channel{bed.simulator(), bed.path()};
   core::PathloadSession session{core::PathloadConfig{}};

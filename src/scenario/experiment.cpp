@@ -63,29 +63,6 @@ double RepeatedRuns::mean_fleets() const {
   return total / static_cast<double>(results.size());
 }
 
-core::PathloadResult run_pathload_once(const PaperPathConfig& path_cfg,
-                                       const core::PathloadConfig& tool_cfg,
-                                       std::uint64_t seed) {
-  PaperPathConfig cfg = path_cfg;
-  cfg.seed = seed;
-  Testbed bed{cfg};
-  bed.start();
-  SimProbeChannel channel{bed.simulator(), bed.path()};
-  core::PathloadSession session{tool_cfg};
-  return session.run(channel);
-}
-
-RepeatedRuns run_pathload_repeated(const PaperPathConfig& path_cfg,
-                                   const core::PathloadConfig& tool_cfg, int runs,
-                                   std::uint64_t seed0) {
-  RepeatedRuns out;
-  out.results.reserve(static_cast<std::size_t>(runs));
-  for (int i = 0; i < runs; ++i) {
-    out.results.push_back(run_pathload_once(path_cfg, tool_cfg, seed0 + i));
-  }
-  return out;
-}
-
 core::PathloadResult run_scenario_once(const ScenarioSpec& spec,
                                        const core::PathloadConfig& tool_cfg,
                                        std::uint64_t seed) {
@@ -96,6 +73,13 @@ core::PathloadResult run_scenario_once(const ScenarioSpec& spec,
   SimProbeChannel channel{inst.simulator(), inst.path()};
   core::PathloadSession session{tool_cfg};
   return session.run(channel);
+}
+
+core::PathloadResult run_pathload_once(const PaperPathConfig& path_cfg,
+                                       const core::PathloadConfig& tool_cfg,
+                                       std::uint64_t seed) {
+  return run_scenario_once(ScenarioSpec::from_paper("paper", "", path_cfg), tool_cfg,
+                           seed);
 }
 
 RepeatedRuns run_scenario_repeated(const ScenarioSpec& spec,

@@ -40,26 +40,19 @@ struct RepeatedRuns {
   double mean_fleets() const;
 };
 
-/// Run pathload `runs` times on independent testbeds built from `path_cfg`
-/// (seeded `seed0`, `seed0`+1, ...), each on a freshly warmed-up path.
-RepeatedRuns run_pathload_repeated(const PaperPathConfig& path_cfg,
-                                   const core::PathloadConfig& tool_cfg, int runs,
-                                   std::uint64_t seed0);
-
-/// Single pathload run on a fresh testbed (convenience).
-core::PathloadResult run_pathload_once(const PaperPathConfig& path_cfg,
-                                       const core::PathloadConfig& tool_cfg,
-                                       std::uint64_t seed);
-
 /// Single pathload run on a fresh ScenarioInstance built from `spec` with
-/// its seed overridden to `seed`. For paper-derived specs this is
-/// bit-identical to run_pathload_once on the equivalent PaperPathConfig.
+/// its seed overridden to `seed`, on a freshly warmed-up path.
 core::PathloadResult run_scenario_once(const ScenarioSpec& spec,
                                        const core::PathloadConfig& tool_cfg,
                                        std::uint64_t seed);
 
-/// `runs` independent scenario runs seeded seed0, seed0+1, ... — the
-/// registry-based analogue of run_pathload_repeated.
+/// run_scenario_once on ScenarioSpec::from_paper(path_cfg).
+core::PathloadResult run_pathload_once(const PaperPathConfig& path_cfg,
+                                       const core::PathloadConfig& tool_cfg,
+                                       std::uint64_t seed);
+
+/// `runs` independent scenario runs seeded seed0, seed0+1, ..., each on a
+/// fresh instance.
 RepeatedRuns run_scenario_repeated(const ScenarioSpec& spec,
                                    const core::PathloadConfig& tool_cfg, int runs,
                                    std::uint64_t seed0);

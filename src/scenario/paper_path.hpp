@@ -1,15 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
-#include "fluid/fluid_model.hpp"
-#include "sim/monitor.hpp"
-#include "sim/path.hpp"
-#include "sim/simulator.hpp"
 #include "sim/traffic.hpp"
-#include "util/rng.hpp"
+#include "util/time.hpp"
+#include "util/units.hpp"
 
 namespace pathload::scenario {
 
@@ -22,6 +17,10 @@ namespace pathload::scenario {
 /// non-tight links' avail-bw is to the tight link's: the non-tight capacity
 /// is derived as Cx = beta * At / (1 - ux). beta = 1 with ux = ut makes
 /// every link a tight link (the Fig. 7 stress case).
+///
+/// This is only a parameterization: ScenarioSpec::from_paper expands it
+/// into the explicit hop list, and ScenarioInstance builds that like any
+/// other spec.
 struct PaperPathConfig {
   int hops{3};
   Rate tight_capacity{Rate::mbps(10)};
@@ -51,42 +50,6 @@ struct PaperPathConfig {
   Rate nontight_capacity() const {
     return tight_avail_bw() * beta / (1.0 - nontight_utilization);
   }
-};
-
-/// A ready-to-measure simulated network: simulator + path + cross traffic
-/// + a utilization monitor on the tight link. One Testbed per measurement
-/// run keeps runs statistically independent and reproducible by seed.
-class Testbed {
- public:
-  explicit Testbed(PaperPathConfig cfg);
-
-  sim::Simulator& simulator() { return sim_; }
-  sim::Path& path() { return *path_; }
-  const PaperPathConfig& config() const { return cfg_; }
-
-  std::size_t tight_index() const { return tight_index_; }
-  sim::Link& tight_link() { return path_->link(tight_index_); }
-
-  /// Configured (long-term average) end-to-end avail-bw: Ct * (1 - ut).
-  Rate configured_avail_bw() const { return cfg_.tight_avail_bw(); }
-
-  /// The matching stationary fluid model (for analytic cross-checks).
-  fluid::FluidPath fluid() const;
-
-  /// Start cross traffic and run the warmup period.
-  void start();
-
-  /// Attach an MRTG-style monitor to the tight link (must be called before
-  /// readings are needed; windows start at the current virtual time).
-  sim::UtilizationMonitor& monitor_tight_link(Duration window);
-
- private:
-  PaperPathConfig cfg_;
-  sim::Simulator sim_;
-  std::unique_ptr<sim::Path> path_;
-  std::size_t tight_index_;
-  std::vector<std::unique_ptr<sim::TrafficAggregate>> traffic_;
-  std::vector<std::unique_ptr<sim::UtilizationMonitor>> monitors_;
 };
 
 }  // namespace pathload::scenario

@@ -549,8 +549,10 @@ ScenarioSpec ScenarioSpec::from_paper(std::string name, std::string description,
   spec.seed = cfg.seed;
   spec.paper = cfg;
 
-  // Mirror Testbed's hop derivation exactly (same expressions, same order)
-  // so the hop list is a faithful description of what instantiation builds.
+  // The Fig. 4 derivation: the middle hop is tight, every other hop gets
+  // Cx = beta * At / (1 - ux), and the propagation delay splits evenly.
+  // ScenarioInstance builds exactly this hop list, so these expressions and
+  // their order are what the golden anchors pin.
   const std::size_t tight = static_cast<std::size_t>(cfg.hops / 2);
   const Duration per_hop_delay = cfg.total_prop_delay / static_cast<double>(cfg.hops);
   spec.hops.reserve(static_cast<std::size_t>(cfg.hops));
@@ -825,22 +827,18 @@ ScenarioSpec ScenarioSpec::parse(std::string_view text) {
 
 void ScenarioSpec::validate() const {
   if (name.empty()) throw SpecError{"spec is missing a name"};
-  std::size_t hop_count = 0;
-  if (paper) {
-    validate_paper(*paper);
-    hop_count = static_cast<std::size_t>(paper->hops);
-  } else {
-    if (hops.empty()) throw SpecError{"spec has no hops"};
-    if (warmup < Duration::zero()) throw SpecError{"warmup_s must not be negative"};
-    for (std::size_t i = 0; i < hops.size(); ++i) validate_hop(i, hops[i]);
-    hop_count = hops.size();
-  }
+  // The paper.* checks come first: they guard the derived quantities the
+  // expanded hop list was computed from, and name the keys the user wrote.
+  if (paper) validate_paper(*paper);
+  if (hops.empty()) throw SpecError{"spec has no hops"};
+  if (warmup < Duration::zero()) throw SpecError{"warmup_s must not be negative"};
+  for (std::size_t i = 0; i < hops.size(); ++i) validate_hop(i, hops[i]);
   for (std::size_t i = 0; i < flows.size(); ++i) {
-    validate_flow(i, flows[i], hop_count);
+    validate_flow(i, flows[i], hops.size());
   }
   std::set<std::size_t> impaired_hops;
   for (std::size_t i = 0; i < impairments.size(); ++i) {
-    validate_impair(i, impairments[i], hop_count);
+    validate_impair(i, impairments[i], hops.size());
     if (!impaired_hops.insert(impairments[i].hop).second) {
       fail_impair(i, "hop",
                   "hop " + std::to_string(impairments[i].hop) +
@@ -937,7 +935,7 @@ ScenarioSpec ScenarioSpec::with_load(double util) const {
 
 std::size_t ScenarioSpec::tight_hop() const {
   if (paper) {
-    // Testbed's convention: the middle hop, regardless of beta ties.
+    // Fig. 4's convention: the middle hop, regardless of beta ties.
     return static_cast<std::size_t>(paper->hops / 2);
   }
   std::size_t best = 0;
@@ -1018,74 +1016,58 @@ sim::FluidTcpConfig fluid_flow_config(const FlowSpec& f) {
 
 ScenarioInstance::ScenarioInstance(ScenarioSpec spec) : spec_{std::move(spec)} {
   spec_.validate();
-  // Expand `flow` entries (count=N becomes N flows) against whichever
-  // backend carries the path. A spec without flows builds no flow state at
-  // all, so pre-flow scenarios stay bit-identical.
-  auto build_flows = [this] {
-    const bool fluid_engine = spec_.engine == EngineVersion::kV2;
-    for (const FlowSpec& f : spec_.flows) {
-      for (int c = 0; c < f.count; ++c) {
-        // Under v2 a `flow tcp` entry is natively a fluid rate source
-        // (the links run in fluid mode, so a packet-mode flow there pays
-        // per-segment events against fluid queues); `mode=packet` opts
-        // back into the packet-accurate Reno connection.
-        if (fluid_engine && f.mode != FlowSpec::Mode::kPacket) {
-          flows_.push_back(std::make_unique<sim::FluidTcpSource>(
-              simulator(), path(), fluid_flow_config(f)));
-        } else {
-          flows_.push_back(std::make_unique<tcp::SegmentTcpFlow>(
-              simulator(), path(), flow_config(f)));
-        }
-      }
-    }
-  };
-  // Impairments install after the path exists, identically for both
-  // backends. Links without an impair entry never get an impairment RNG, so
-  // unimpaired specs stay bit-identical to pre-impairment builds.
-  auto apply_impairments = [this] {
-    for (const ImpairSpec& imp : spec_.impairments) {
-      sim::LinkImpairments li;
-      li.loss = imp.loss;
-      li.dup = imp.dup;
-      li.reorder = Duration::milliseconds(imp.reorder_ms);
-      li.seed = imp.seed.has_value() ? *imp.seed
-                                     : derive_impair_seed(spec_.seed, imp.hop);
-      path().link(imp.hop).set_impairments(li);
-    }
-  };
-  const bool v2 = spec_.engine == EngineVersion::kV2;
-  if (spec_.paper && !v2) {
-    PaperPathConfig cfg = *spec_.paper;
-    cfg.seed = spec_.seed;
-    cfg.warmup = spec_.warmup;
-    testbed_ = std::make_unique<Testbed>(std::move(cfg));
-    tight_index_ = testbed_->tight_index();
-    apply_impairments();
-    build_flows();
-    return;
-  }
-
-  sim_ = std::make_unique<sim::Simulator>();
   std::vector<sim::HopSpec> hop_specs;
   hop_specs.reserve(spec_.hops.size());
   for (const HopDecl& h : spec_.hops) {
     hop_specs.push_back(
         sim::HopSpec{h.capacity, h.delay, h.capacity.bytes_in(h.buffer_drain)});
   }
-  path_ = std::make_unique<sim::Path>(*sim_, std::move(hop_specs));
+  path_ = std::make_unique<sim::Path>(sim_, std::move(hop_specs));
   tight_index_ = spec_.tight_hop();
 
+  const bool v2 = spec_.engine == EngineVersion::kV2;
   if (v2) {
     build_v2_traffic();
-    apply_impairments();
-    build_flows();
-    return;
+  } else {
+    build_v1_traffic();
   }
 
-  // Seed derivation mirrors Testbed: one fork per traffic-carrying hop, in
-  // hop order, then per-source forks inside the generator. Hops without
-  // traffic consume no randomness, so adding an unloaded hop leaves the
-  // other hops' streams untouched.
+  // Impairments install after the traffic, identically under both engines.
+  // Links without an impair entry never get an impairment RNG, so
+  // unimpaired specs stay bit-identical to pre-impairment builds.
+  for (const ImpairSpec& imp : spec_.impairments) {
+    sim::LinkImpairments li;
+    li.loss = imp.loss;
+    li.dup = imp.dup;
+    li.reorder = Duration::milliseconds(imp.reorder_ms);
+    li.seed = imp.seed.has_value() ? *imp.seed
+                                   : derive_impair_seed(spec_.seed, imp.hop);
+    path_->link(imp.hop).set_impairments(li);
+  }
+
+  // Expand `flow` entries (count=N becomes N flows). A spec without flows
+  // builds no flow state at all, so pre-flow scenarios stay bit-identical.
+  for (const FlowSpec& f : spec_.flows) {
+    for (int c = 0; c < f.count; ++c) {
+      // Under v2 a `flow tcp` entry is natively a fluid rate source (the
+      // links run in fluid mode, so a packet-mode flow there pays
+      // per-segment events against fluid queues); `mode=packet` opts back
+      // into the packet-accurate Reno connection.
+      if (v2 && f.mode != FlowSpec::Mode::kPacket) {
+        flows_.push_back(std::make_unique<sim::FluidTcpSource>(
+            sim_, *path_, fluid_flow_config(f)));
+      } else {
+        flows_.push_back(std::make_unique<tcp::SegmentTcpFlow>(
+            sim_, *path_, flow_config(f)));
+      }
+    }
+  }
+}
+
+void ScenarioInstance::build_v1_traffic() {
+  // One fork per traffic-carrying hop, in hop order, then per-source forks
+  // inside the generator. Hops without traffic consume no randomness, so
+  // adding an unloaded hop leaves the other hops' streams untouched.
   Rng rng{spec_.seed};
   for (std::size_t i = 0; i < spec_.hops.size(); ++i) {
     const TrafficSpec& t = spec_.hops[i].traffic;
@@ -1103,7 +1085,7 @@ ScenarioInstance::ScenarioInstance(ScenarioSpec spec) : spec_{std::move(spec)} {
           break;
         }
         traffic_.push_back(std::make_unique<sim::TrafficAggregate>(
-            *sim_, link, mean, t.sources, renewal_of(t.model), t.mix, rng.fork(),
+            sim_, link, mean, t.sources, renewal_of(t.model), t.mix, rng.fork(),
             t.pareto_alpha));
         break;
       }
@@ -1118,7 +1100,7 @@ ScenarioInstance::ScenarioInstance(ScenarioSpec spec) : spec_{std::move(spec)} {
         members.reserve(static_cast<std::size_t>(t.sources));
         for (int s = 0; s < t.sources; ++s) {
           members.push_back(std::make_unique<sim::OnOffSource>(
-              *sim_, link, mean / n, params, t.mix, hop_rng.fork()));
+              sim_, link, mean / n, params, t.mix, hop_rng.fork()));
         }
         traffic_.push_back(std::make_unique<sim::GenGroup>(std::move(members)));
         break;
@@ -1141,15 +1123,13 @@ ScenarioInstance::ScenarioInstance(ScenarioSpec spec) : spec_{std::move(spec)} {
         members.reserve(static_cast<std::size_t>(t.sources));
         for (int s = 0; s < t.sources; ++s) {
           members.push_back(std::make_unique<sim::RampLoadSource>(
-              *sim_, link, params, t.mix, hop_rng.fork()));
+              sim_, link, params, t.mix, hop_rng.fork()));
         }
         traffic_.push_back(std::make_unique<sim::GenGroup>(std::move(members)));
         break;
       }
     }
   }
-  apply_impairments();
-  build_flows();
 }
 
 void ScenarioInstance::build_v2_traffic() {
@@ -1186,7 +1166,7 @@ void ScenarioInstance::build_v2_traffic() {
           traffic_.push_back(nullptr);
         } else {
           traffic_.push_back(
-              std::make_unique<sim::FluidConstantSource>(*sim_, link, mean));
+              std::make_unique<sim::FluidConstantSource>(sim_, link, mean));
         }
         break;
       case TrafficModel::kOnOff: {
@@ -1202,7 +1182,7 @@ void ScenarioInstance::build_v2_traffic() {
         members.reserve(static_cast<std::size_t>(t.sources));
         for (int s = 0; s < t.sources; ++s) {
           members.push_back(std::make_unique<sim::FluidOnOffSource>(
-              *sim_, link, mean / n, params,
+              sim_, link, mean / n, params,
               CounterRng{spec_.seed, stream_id(i, s)}));
         }
         traffic_.push_back(std::make_unique<sim::GenGroup>(std::move(members)));
@@ -1223,7 +1203,7 @@ void ScenarioInstance::build_v2_traffic() {
           params.back_end = Duration::seconds(t.ramp_back_end_s);
         }
         traffic_.push_back(
-            std::make_unique<sim::FluidRampSource>(*sim_, link, params));
+            std::make_unique<sim::FluidRampSource>(sim_, link, params));
         break;
       }
     }
@@ -1231,14 +1211,6 @@ void ScenarioInstance::build_v2_traffic() {
 }
 
 ScenarioInstance::~ScenarioInstance() = default;
-
-sim::Simulator& ScenarioInstance::simulator() {
-  return testbed_ ? testbed_->simulator() : *sim_;
-}
-
-sim::Path& ScenarioInstance::path() {
-  return testbed_ ? testbed_->path() : *path_;
-}
 
 DataSize ScenarioInstance::flow_bytes_acked() const {
   DataSize total{};
@@ -1250,14 +1222,10 @@ void ScenarioInstance::start() {
   // Flows launch first so a start_s of zero begins exactly at traffic
   // start; their events interleave with cross traffic during the warmup.
   for (auto& f : flows_) f->launch();
-  if (testbed_) {
-    testbed_->start();
-    return;
-  }
   for (auto& t : traffic_) {
     if (t) t->start();
   }
-  sim_->run_for(spec_.warmup);
+  sim_.run_for(spec_.warmup);
 }
 
 }  // namespace pathload::scenario

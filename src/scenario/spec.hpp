@@ -12,10 +12,10 @@
 //  * transforms of an existing spec (with_load for sweeps).
 //
 // ScenarioInstance turns a validated spec into a live testbed: Simulator +
-// Path + per-hop traffic generators, ready for a SimProbeChannel. For specs
-// built from the paper parameterization (PaperPathConfig), instantiation is
-// bit-identical to scenario::Testbed — the golden determinism anchors and
-// the figure benches rely on this.
+// Path + per-hop traffic generators, ready for a SimProbeChannel. It is the
+// only place a scenario is built: specs from the paper parameterization
+// (PaperPathConfig) are expanded into their hop list by from_paper and then
+// built like any other spec.
 //
 // Units in specs follow the text format: capacities in Mb/s, delays and
 // buffer drain times in milliseconds, burst sizes in kilobytes, timestamps
@@ -240,13 +240,15 @@ struct ScenarioSpec {
 
   /// Set when the spec was derived from the paper's Fig. 4 parameterization.
   /// Kept so load sweeps preserve the paper's invariant that the non-tight
-  /// capacities track beta * At (with_load re-derives the whole path), and
-  /// so instantiation can reuse Testbed bit-for-bit.
+  /// capacities track beta * At (with_load re-derives the whole path) and
+  /// so to_text emits the paper.* keys. `hops` always holds the expanded
+  /// path, and instantiation reads only `hops`.
   std::optional<PaperPathConfig> paper;
 
-  /// Build a spec from the paper's Fig. 4 parameterization. The resulting
-  /// spec instantiates through scenario::Testbed, so runs are bit-identical
-  /// to code that used PaperPathConfig directly.
+  /// Build a spec from the paper's Fig. 4 parameterization: the middle hop
+  /// is the tight link, the others get the beta-derived capacity, and the
+  /// propagation delay is split evenly. This is the only place that
+  /// derivation lives.
   static ScenarioSpec from_paper(std::string name, std::string description,
                                  const PaperPathConfig& cfg);
 
@@ -298,21 +300,20 @@ struct ScenarioSpec {
 std::uint64_t derive_impair_seed(std::uint64_t scenario_seed, std::size_t hop);
 
 /// A live, ready-to-measure instantiation of a spec: simulator + path +
-/// per-hop traffic. The analogue of Testbed for arbitrary specs; for
-/// paper-derived specs it *is* a Testbed internally, preserving
-/// bit-identical runs.
+/// per-hop traffic. One instance per measurement run keeps runs
+/// statistically independent and reproducible by seed.
 class ScenarioInstance {
  public:
   /// Validates the spec (throws SpecError) and builds the testbed.
   explicit ScenarioInstance(ScenarioSpec spec);
   ~ScenarioInstance();
 
-  sim::Simulator& simulator();
-  sim::Path& path();
+  sim::Simulator& simulator() { return sim_; }
+  sim::Path& path() { return *path_; }
   const ScenarioSpec& spec() const { return spec_; }
 
   std::size_t tight_index() const { return tight_index_; }
-  sim::Link& tight_link() { return path().link(tight_index_); }
+  sim::Link& tight_link() { return path_->link(tight_index_); }
   Rate configured_avail_bw() const { return spec_.avail_bw(); }
 
   /// The live responsive cross flows, one per expanded `flow` entry
@@ -330,19 +331,16 @@ class ScenarioInstance {
   void start();
 
  private:
-  /// Engine-v2 backend: every link in fluid mode, cross traffic from
+  /// Engine-v1 traffic: packet generators on an Rng fork() chain.
+  void build_v1_traffic();
+  /// Engine-v2 traffic: every link in fluid mode, cross traffic from
   /// sim/fluid_traffic.hpp with CounterRng streams keyed (seed, hop, source).
   void build_v2_traffic();
 
   ScenarioSpec spec_;
-  // Exactly one of the two backends is set: paper-derived v1 specs delegate
-  // to Testbed (bit-compatibility); custom and engine-v2 specs build their
-  // own state (v2 always, because its links run in fluid mode and from_paper
-  // mirrors the Testbed hop derivation into spec.hops anyway). The
-  // Simulator must outlive every TimerHandle owner, hence member order —
+  // The Simulator must outlive every TimerHandle owner, hence member order —
   // flows_ last so its timers and connections die first.
-  std::unique_ptr<Testbed> testbed_;
-  std::unique_ptr<sim::Simulator> sim_;
+  sim::Simulator sim_;
   std::unique_ptr<sim::Path> path_;
   std::vector<std::unique_ptr<sim::TrafficGen>> traffic_;
   std::vector<std::unique_ptr<sim::ResponsiveFlow>> flows_;

@@ -77,18 +77,8 @@ void SweepRunner::run_indexed(std::size_t n, const std::function<void(std::size_
 std::vector<core::PathloadResult> sweep_pathload(const std::vector<SweepPoint>& points,
                                                  SweepRunner& runner) {
   return runner.map(points.size(), [&](std::size_t i) {
-    return run_pathload_once(points[i].path, points[i].tool, points[i].seed);
+    return run_scenario_once(points[i].spec, points[i].tool, points[i].seed);
   });
-}
-
-RepeatedRuns sweep_pathload_repeated(const PaperPathConfig& path_cfg,
-                                     const core::PathloadConfig& tool_cfg, int runs,
-                                     std::uint64_t seed0, SweepRunner& runner) {
-  RepeatedRuns out;
-  out.results = runner.map(static_cast<std::size_t>(runs), [&](std::size_t i) {
-    return run_pathload_once(path_cfg, tool_cfg, seed0 + i);
-  });
-  return out;
 }
 
 RepeatedRuns sweep_scenario_repeated(const ScenarioSpec& spec,

@@ -8,16 +8,17 @@
 #include <vector>
 
 #include "scenario/experiment.hpp"
-#include "scenario/paper_path.hpp"
+#include "scenario/spec.hpp"
 
 namespace pathload::scenario {
 
 /// Shards independent experiment points across a pool of threads.
 ///
 /// Every figure in the paper is a sweep over (load, config) operating
-/// points, and every point is a self-contained simulation (its Testbed owns
-/// its Simulator and RNG), so points parallelize embarrassingly. The
-/// runner guarantees *thread-count-independent results*:
+/// points, and every point is a self-contained simulation (its
+/// ScenarioInstance owns its Simulator and RNG), so points parallelize
+/// embarrassingly. The runner guarantees *thread-count-independent
+/// results*:
 ///
 ///  - the caller enumerates points (and derives their seeds) sequentially
 ///    before anything runs, so no RNG is shared across workers;
@@ -57,31 +58,24 @@ class SweepRunner {
   int threads_;
 };
 
-/// One operating point of a sweep: a testbed configuration, the tool
-/// configuration to run on it, and the seed that makes it reproducible.
+/// One operating point of a sweep: a scenario, the tool configuration to
+/// run on it, and the seed that makes it reproducible.
 struct SweepPoint {
-  PaperPathConfig path;
+  ScenarioSpec spec;
   core::PathloadConfig tool;
   std::uint64_t seed{1};
 };
 
 /// Run one pathload measurement per point, in parallel, results in point
-/// order. Each point gets a fresh warmed-up testbed seeded from its own
-/// `seed` (see run_pathload_once), so the output is independent of the
+/// order. Each point gets a fresh warmed-up instance seeded from its own
+/// `seed` (see run_scenario_once), so the output is independent of the
 /// thread count.
 std::vector<core::PathloadResult> sweep_pathload(const std::vector<SweepPoint>& points,
                                                  SweepRunner& runner);
 
-/// `runs` repetitions of a single operating point (seeds seed0, seed0+1,
-/// ...), sharded across the runner's threads. Drop-in parallel equivalent
-/// of run_pathload_repeated.
-RepeatedRuns sweep_pathload_repeated(const PaperPathConfig& path_cfg,
-                                     const core::PathloadConfig& tool_cfg, int runs,
-                                     std::uint64_t seed0, SweepRunner& runner);
-
-/// Registry-based analogue: `runs` repetitions of one scenario spec (seeds
-/// seed0, seed0+1, ...), sharded across the runner's threads. Results are
-/// identical to run_scenario_repeated regardless of thread count.
+/// `runs` repetitions of one scenario spec (seeds seed0, seed0+1, ...),
+/// sharded across the runner's threads. Results are identical to
+/// run_scenario_repeated regardless of thread count.
 RepeatedRuns sweep_scenario_repeated(const ScenarioSpec& spec,
                                      const core::PathloadConfig& tool_cfg, int runs,
                                      std::uint64_t seed0, SweepRunner& runner);

@@ -97,7 +97,8 @@ class Simulator {
   ///
   /// Lifetime: the handle borrows this Simulator's slab, so every handle
   /// must be destroyed before the Simulator (declare the Simulator first,
-  /// as Testbed does). A handle outliving its Simulator is use-after-free.
+  /// as scenario::ScenarioInstance does). A handle outliving its Simulator
+  /// is use-after-free.
   TimerHandle make_timer(Callback cb);
 
   /// Create a counted timer: a timer whose every arm is an event. Re-arming

@@ -6,9 +6,15 @@
 #include "baselines/topp.hpp"
 #include "scenario/paper_path.hpp"
 #include "scenario/sim_channel.hpp"
+#include "scenario/spec.hpp"
 
 namespace pathload::baselines {
 namespace {
+
+/// The paper path `cfg` describes, built the way every scenario is built.
+scenario::ScenarioInstance paper_instance(const scenario::PaperPathConfig& cfg) {
+  return scenario::ScenarioInstance{scenario::ScenarioSpec::from_paper("paper", "", cfg)};
+}
 
 scenario::PaperPathConfig single_tight_path(double utilization,
                                             Rate capacity = Rate::mbps(10)) {
@@ -22,7 +28,7 @@ scenario::PaperPathConfig single_tight_path(double utilization,
 }
 
 TEST(Cprobe, DispersionRateBetweenAvailBwAndCapacity) {
-  scenario::Testbed bed{single_tight_path(0.6)};  // A = 4, C = 10
+  auto bed = paper_instance(single_tight_path(0.6));  // A = 4, C = 10
   bed.start();
   scenario::SimProbeChannel ch{bed.simulator(), bed.path()};
   const Rate adr = CprobeEstimator{}.measure(ch);
@@ -33,7 +39,7 @@ TEST(Cprobe, DispersionRateBetweenAvailBwAndCapacity) {
 TEST(Cprobe, OverestimatesAvailBwUnderLoad) {
   // The paper's central critique of cprobe (Section II): train dispersion
   // measures the ADR, not the avail-bw; under load ADR sits well above A.
-  scenario::Testbed bed{single_tight_path(0.75)};  // A = 2.5
+  auto bed = paper_instance(single_tight_path(0.75));  // A = 2.5
   bed.start();
   scenario::SimProbeChannel ch{bed.simulator(), bed.path()};
   const Rate adr = CprobeEstimator{}.measure(ch);
@@ -46,7 +52,7 @@ TEST(Cprobe, MatchesFluidAdrOnCbrTraffic) {
   // (the train saturates the first and only link).
   auto cfg = single_tight_path(0.5);
   cfg.model = sim::Interarrival::kConstant;
-  scenario::Testbed bed{cfg};
+  auto bed = paper_instance(cfg);
   bed.start();
   scenario::SimProbeChannel ch{bed.simulator(), bed.path()};
   CprobeConfig cp;
@@ -63,7 +69,7 @@ TEST(Cprobe, EmptyOutcomeYieldsZero) {
 }
 
 TEST(PacketPair, EstimatesNarrowLinkCapacity) {
-  scenario::Testbed bed{single_tight_path(0.3)};  // C = 10
+  auto bed = paper_instance(single_tight_path(0.3));  // C = 10
   bed.start();
   scenario::SimProbeChannel ch{bed.simulator(), bed.path()};
   const Rate cap = PacketPairEstimator{}.measure(ch);
@@ -73,7 +79,7 @@ TEST(PacketPair, EstimatesNarrowLinkCapacity) {
 TEST(PacketPair, CapacityNotAvailBw) {
   // Packet pairs measure C regardless of load — another "what dispersion
   // really measures" data point.
-  scenario::Testbed bed{single_tight_path(0.7)};  // A = 3, C = 10
+  auto bed = paper_instance(single_tight_path(0.7));  // A = 3, C = 10
   bed.start();
   scenario::SimProbeChannel ch{bed.simulator(), bed.path()};
   const Rate cap = PacketPairEstimator{}.measure(ch);
@@ -83,7 +89,7 @@ TEST(PacketPair, CapacityNotAvailBw) {
 TEST(Topp, EstimatesAvailBwAndCapacityOnSmoothTraffic) {
   auto cfg = single_tight_path(0.5);  // A = 5, C = 10
   cfg.model = sim::Interarrival::kConstant;
-  scenario::Testbed bed{cfg};
+  auto bed = paper_instance(cfg);
   bed.start();
   scenario::SimProbeChannel ch{bed.simulator(), bed.path()};
   ToppConfig tc;
@@ -103,7 +109,7 @@ TEST(Topp, EstimatesAvailBwAndCapacityOnSmoothTraffic) {
 TEST(Topp, SweepShowsKneeAtAvailBw) {
   auto cfg = single_tight_path(0.5);
   cfg.model = sim::Interarrival::kConstant;
-  scenario::Testbed bed{cfg};
+  auto bed = paper_instance(cfg);
   bed.start();
   scenario::SimProbeChannel ch{bed.simulator(), bed.path()};
   ToppConfig tc;
@@ -130,7 +136,7 @@ TEST(Topp, SweepShowsKneeAtAvailBw) {
 TEST(Topp, InvalidWhenSweepNeverExceedsAvailBw) {
   auto cfg = single_tight_path(0.2);  // A = 8
   cfg.model = sim::Interarrival::kConstant;
-  scenario::Testbed bed{cfg};
+  auto bed = paper_instance(cfg);
   bed.start();
   scenario::SimProbeChannel ch{bed.simulator(), bed.path()};
   ToppConfig tc;
@@ -148,7 +154,7 @@ TEST(Delphi, TracksCrossTrafficOnSingleQueuePath) {
   // (C - L/din = 6 Mb/s) sitting near the true lambda = 5 Mb/s; the
   // baselines_table bench shows the bias once load moves away from it.
   auto cfg = single_tight_path(0.5);  // C = 10, lambda = 5, A = 5
-  scenario::Testbed bed{cfg};
+  auto bed = paper_instance(cfg);
   bed.start();
   scenario::SimProbeChannel ch{bed.simulator(), bed.path()};
   DelphiConfig dc;
@@ -218,7 +224,7 @@ TEST(Delphi, NoUsablePairsIsInvalid) {
 TEST(Btc, SaturatesQuietPath) {
   scenario::PaperPathConfig cfg = single_tight_path(0.0);
   cfg.tight_capacity = Rate::mbps(8);
-  scenario::Testbed bed{cfg};
+  auto bed = paper_instance(cfg);
   bed.start();
   BtcConfig bc;
   bc.duration = Duration::seconds(30);
@@ -232,7 +238,7 @@ TEST(Btc, PerSecondThroughputIsVariable) {
   // 5-min average saturates the path.
   scenario::PaperPathConfig cfg = single_tight_path(0.4, Rate::mbps(8));
   cfg.buffer_drain = Duration::milliseconds(150);
-  scenario::Testbed bed{cfg};
+  auto bed = paper_instance(cfg);
   bed.start();
   BtcConfig bc;
   bc.duration = Duration::seconds(60);

@@ -9,18 +9,19 @@
 #include "core/fault_channel.hpp"
 #include "scenario/paper_path.hpp"
 #include "scenario/sim_channel.hpp"
+#include "scenario/spec.hpp"
 
 namespace pathload::core {
 namespace {
 
-scenario::Testbed make_bed(double utilization = 0.5) {
+scenario::ScenarioInstance make_bed(double utilization = 0.5) {
   scenario::PaperPathConfig cfg;
   cfg.hops = 1;
   cfg.tight_capacity = Rate::mbps(10);
   cfg.tight_utilization = utilization;
   cfg.model = sim::Interarrival::kExponential;
   cfg.warmup = Duration::milliseconds(300);
-  return scenario::Testbed{cfg};
+  return scenario::ScenarioInstance{scenario::ScenarioSpec::from_paper("paper", "", cfg)};
 }
 
 StreamSpec probe_stream(std::uint32_t id) {
@@ -33,7 +34,7 @@ StreamSpec probe_stream(std::uint32_t id) {
 }
 
 TEST(FaultChannel, BlackoutEveryNthStreamIsExactAndRepeatable) {
-  scenario::Testbed bed = make_bed();
+  scenario::ScenarioInstance bed = make_bed();
   bed.start();
   scenario::SimProbeChannel inner{bed.simulator(), bed.path()};
   FaultChannel ch{inner, FaultPlan{.drop_every = 2}};
@@ -51,7 +52,7 @@ TEST(FaultChannel, BlackoutEveryNthStreamIsExactAndRepeatable) {
 }
 
 TEST(FaultChannel, TruncationDiscardsTheTail) {
-  scenario::Testbed bed = make_bed();
+  scenario::ScenarioInstance bed = make_bed();
   bed.start();
   scenario::SimProbeChannel inner{bed.simulator(), bed.path()};
   // Baseline: how many records an untouched stream yields.
@@ -69,7 +70,7 @@ TEST(FaultChannel, TruncationDiscardsTheTail) {
 }
 
 TEST(FaultChannel, BlackoutWinsOverTruncationOnTheSameStream) {
-  scenario::Testbed bed = make_bed();
+  scenario::ScenarioInstance bed = make_bed();
   bed.start();
   scenario::SimProbeChannel inner{bed.simulator(), bed.path()};
   FaultChannel ch{inner, FaultPlan{.drop_every = 1, .truncate_every = 1}};
@@ -80,7 +81,7 @@ TEST(FaultChannel, BlackoutWinsOverTruncationOnTheSameStream) {
 }
 
 TEST(FaultChannel, FailAfterStreamsBreaksStreamsAndControlOps) {
-  scenario::Testbed bed = make_bed();
+  scenario::ScenarioInstance bed = make_bed();
   bed.start();
   scenario::SimProbeChannel inner{bed.simulator(), bed.path()};
   FaultChannel ch{inner, FaultPlan{.fail_after_streams = 2}};
@@ -93,7 +94,7 @@ TEST(FaultChannel, FailAfterStreamsBreaksStreamsAndControlOps) {
 }
 
 TEST(FaultChannel, StallConsumesChannelTime) {
-  scenario::Testbed bed = make_bed();
+  scenario::ScenarioInstance bed = make_bed();
   bed.start();
   scenario::SimProbeChannel inner{bed.simulator(), bed.path()};
   FaultChannel ch{inner, FaultPlan{.stall = Duration::milliseconds(50)}};
@@ -103,7 +104,7 @@ TEST(FaultChannel, StallConsumesChannelTime) {
 }
 
 TEST(RunGuarded, ChannelFaultBecomesAFailedReportNotAnException) {
-  scenario::Testbed bed = make_bed();
+  scenario::ScenarioInstance bed = make_bed();
   bed.start();
   scenario::SimProbeChannel inner{bed.simulator(), bed.path()};
   FaultChannel ch{inner, FaultPlan{.fail_after_streams = 1}};
@@ -117,7 +118,7 @@ TEST(RunGuarded, ChannelFaultBecomesAFailedReportNotAnException) {
 }
 
 TEST(RunGuarded, ConfigurationErrorsStayLoud) {
-  scenario::Testbed bed = make_bed();
+  scenario::ScenarioInstance bed = make_bed();
   bed.start();
   scenario::SimProbeChannel inner{bed.simulator(), bed.path()};
   // Spruce without its capacity hint is a configuration bug, not a
@@ -166,7 +167,7 @@ TEST(Deadline, UniversalOverrideKeyWorksForEveryEstimator) {
 }
 
 TEST(Deadline, CutsARunShortWithATimeoutReportInsteadOfHanging) {
-  scenario::Testbed bed = make_bed(0.6);
+  scenario::ScenarioInstance bed = make_bed(0.6);
   bed.start();
   scenario::SimProbeChannel ch{bed.simulator(), bed.path()};
   // A deadline far below one train's duration: the tool must stop early

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 #include <vector>
 
@@ -90,15 +91,16 @@ TEST(FluidPath, Proposition2ExitRateDependsOnNonTightLinks) {
 
 // --- Proposition 1 property sweep -------------------------------------------
 
-// gtest prints a parameter without a PrintTo as its raw bytes, and ctest
-// builds the test names from that. The tail is spelled out and zeroed so no
-// uninitialised padding byte leaks into the names.
 struct Prop1Case {
   double offered_mbps;
   bool expect_increasing;
-  unsigned char zero_tail[7]{};
 };
-static_assert(sizeof(Prop1Case) == 16);
+
+// Without a PrintTo gtest prints the parameter as its raw bytes, padding
+// included, and ctest builds the test names from that.
+void PrintTo(const Prop1Case& c, std::ostream* os) {
+  *os << "R=" << c.offered_mbps << "Mbps " << (c.expect_increasing ? "increasing" : "flat");
+}
 
 class Proposition1Test : public ::testing::TestWithParam<Prop1Case> {};
 

@@ -16,6 +16,7 @@
 #include "scenario/experiment.hpp"
 #include "scenario/paper_path.hpp"
 #include "scenario/registry.hpp"
+#include "scenario/spec.hpp"
 #include "scenario/sim_channel.hpp"
 #include "util/rng.hpp"
 
@@ -33,7 +34,7 @@ PaperPathConfig golden_config() {
 }
 
 TEST(EngineDeterminism, WarmupReplaysHeapSchedulerEventAndPacketCounts) {
-  Testbed bed{golden_config()};
+  ScenarioInstance bed{ScenarioSpec::from_paper("golden", "", golden_config())};
   bed.start();
   EXPECT_EQ(bed.simulator().events_processed(), 52560u);
   EXPECT_EQ(bed.simulator().next_packet_id() - 1, 17561u);

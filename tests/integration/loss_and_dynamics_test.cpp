@@ -4,10 +4,16 @@
 #include "scenario/experiment.hpp"
 #include "scenario/paper_path.hpp"
 #include "scenario/sim_channel.hpp"
+#include "scenario/spec.hpp"
 #include "util/stats.hpp"
 
 namespace pathload::scenario {
 namespace {
+
+/// The paper path `cfg` describes, built the way every scenario is built.
+ScenarioInstance paper_instance(const PaperPathConfig& cfg) {
+  return ScenarioInstance{ScenarioSpec::from_paper("paper", "", cfg)};
+}
 
 // --- failure injection: undersized buffers -> probe losses ---------------
 
@@ -19,7 +25,7 @@ TEST(LossHandling, UnderbufferedPathStillYieldsEstimate) {
   cfg.buffer_drain = Duration::milliseconds(8);  // ~10 KB buffer
   cfg.model = sim::Interarrival::kPareto;
   cfg.warmup = Duration::seconds(1);
-  Testbed bed{cfg};
+  ScenarioInstance bed = paper_instance(cfg);
   bed.start();
   SimProbeChannel channel{bed.simulator(), bed.path()};
   core::PathloadConfig tool;
@@ -40,7 +46,7 @@ TEST(LossHandling, AbortedFleetsAppearInTrace) {
   cfg.buffer_drain = Duration::milliseconds(4);
   cfg.model = sim::Interarrival::kPareto;
   cfg.warmup = Duration::seconds(1);
-  Testbed bed{cfg};
+  ScenarioInstance bed = paper_instance(cfg);
   bed.start();
   SimProbeChannel channel{bed.simulator(), bed.path()};
   core::PathloadConfig tool;
@@ -66,8 +72,8 @@ TEST(Dynamics, RelativeVariationGrowsWithUtilization) {
       cfg.tight_utilization = util;
       cfg.model = sim::Interarrival::kPareto;
       cfg.warmup = Duration::seconds(1);
-      const auto result =
-          run_pathload_once(cfg, core::PathloadConfig{}, 7000 + i);
+      const auto result = run_scenario_once(ScenarioSpec::from_paper("paper", "", cfg),
+                                            core::PathloadConfig{}, 7000 + i);
       rhos.push_back(result.range.relative_variation());
     }
     return median(rhos);
@@ -86,8 +92,8 @@ TEST(Dynamics, RelativeVariationShrinksWithMultiplexing) {
       cfg.sources_per_link = sources;
       cfg.model = sim::Interarrival::kPareto;
       cfg.warmup = Duration::seconds(1);
-      const auto result =
-          run_pathload_once(cfg, core::PathloadConfig{}, 8000 + i);
+      const auto result = run_scenario_once(ScenarioSpec::from_paper("paper", "", cfg),
+                                            core::PathloadConfig{}, 8000 + i);
       rhos.push_back(result.range.relative_variation());
     }
     return median(rhos);
@@ -107,7 +113,8 @@ TEST(Dynamics, LongerStreamsReduceMeasuredVariability) {
       cfg.warmup = Duration::seconds(1);
       core::PathloadConfig tool;
       tool.packets_per_stream = k;
-      const auto result = run_pathload_once(cfg, tool, 9000 + i);
+      const auto result =
+          run_scenario_once(ScenarioSpec::from_paper("paper", "", cfg), tool, 9000 + i);
       rhos.push_back(result.range.relative_variation());
     }
     return median(rhos);
@@ -125,7 +132,7 @@ TEST(ClockRobustness, SessionUnaffectedByHostClockOffsets) {
     cfg.tight_utilization = 0.6;
     cfg.model = sim::Interarrival::kExponential;
     cfg.warmup = Duration::seconds(1);
-    Testbed bed{cfg};
+    ScenarioInstance bed = paper_instance(cfg);
     bed.start();
     SimProbeChannel channel{bed.simulator(), bed.path()};
     channel.set_sender_clock_offset(snd);

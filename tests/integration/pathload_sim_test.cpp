@@ -4,11 +4,12 @@
 #include "scenario/experiment.hpp"
 #include "scenario/paper_path.hpp"
 #include "scenario/sim_channel.hpp"
+#include "scenario/spec.hpp"
 
 namespace pathload::scenario {
 namespace {
 
-PaperPathConfig paper_path(double utilization, sim::Interarrival model) {
+ScenarioSpec paper_path(double utilization, sim::Interarrival model) {
   PaperPathConfig cfg;
   cfg.hops = 3;
   cfg.tight_capacity = Rate::mbps(10);
@@ -17,7 +18,7 @@ PaperPathConfig paper_path(double utilization, sim::Interarrival model) {
   cfg.nontight_utilization = 0.6;
   cfg.model = model;
   cfg.warmup = Duration::seconds(1);
-  return cfg;
+  return ScenarioSpec::from_paper("paper", "", cfg);
 }
 
 core::PathloadConfig fast_tool() {
@@ -29,7 +30,7 @@ core::PathloadConfig fast_tool() {
 
 TEST(PathloadOverSim, BracketsAvailBwOnPoissonPath) {
   const auto result =
-      run_pathload_once(paper_path(0.6, sim::Interarrival::kExponential),
+      run_scenario_once(paper_path(0.6, sim::Interarrival::kExponential),
                         fast_tool(), 7);
   EXPECT_TRUE(result.converged);
   // A = 4 Mb/s; allow the tool's resolution (omega) of slack per side.
@@ -40,7 +41,7 @@ TEST(PathloadOverSim, BracketsAvailBwOnPoissonPath) {
 }
 
 TEST(PathloadOverSim, BracketsAvailBwOnParetoPath) {
-  const auto result = run_pathload_once(paper_path(0.6, sim::Interarrival::kPareto),
+  const auto result = run_scenario_once(paper_path(0.6, sim::Interarrival::kPareto),
                                         fast_tool(), 11);
   EXPECT_TRUE(result.converged);
   EXPECT_LE(result.range.low, Rate::mbps(5.5));
@@ -49,7 +50,7 @@ TEST(PathloadOverSim, BracketsAvailBwOnParetoPath) {
 
 TEST(PathloadOverSim, LightLoadHighAvailBw) {
   const auto result =
-      run_pathload_once(paper_path(0.2, sim::Interarrival::kExponential),
+      run_scenario_once(paper_path(0.2, sim::Interarrival::kExponential),
                         fast_tool(), 23);
   // A = 8 Mb/s.
   EXPECT_TRUE(result.range.contains(Rate::mbps(8)) ||
@@ -57,7 +58,7 @@ TEST(PathloadOverSim, LightLoadHighAvailBw) {
 }
 
 TEST(PathloadOverSim, RepeatedRunsMostlyCoverTruth) {
-  const auto runs = run_pathload_repeated(
+  const auto runs = run_scenario_repeated(
       paper_path(0.6, sim::Interarrival::kExponential), fast_tool(), 10, 100);
   ASSERT_EQ(runs.results.size(), 10u);
   // The paper's Fig. 5 claim: the (averaged) range includes the average
@@ -70,9 +71,9 @@ TEST(PathloadOverSim, RepeatedRunsMostlyCoverTruth) {
 
 TEST(PathloadOverSim, TracksUtilizationChanges) {
   // Higher utilization -> lower reported center (monotone response).
-  const auto light = run_pathload_repeated(
+  const auto light = run_scenario_repeated(
       paper_path(0.25, sim::Interarrival::kExponential), fast_tool(), 4, 7);
-  const auto heavy = run_pathload_repeated(
+  const auto heavy = run_scenario_repeated(
       paper_path(0.75, sim::Interarrival::kExponential), fast_tool(), 4, 7);
   const double light_center =
       (light.mean_low() + light.mean_high()).mbits_per_sec() / 2.0;
@@ -82,8 +83,7 @@ TEST(PathloadOverSim, TracksUtilizationChanges) {
 }
 
 TEST(PathloadOverSim, SessionIsReentrant) {
-  PaperPathConfig cfg = paper_path(0.6, sim::Interarrival::kExponential);
-  Testbed bed{cfg};
+  ScenarioInstance bed{paper_path(0.6, sim::Interarrival::kExponential)};
   bed.start();
   SimProbeChannel ch{bed.simulator(), bed.path()};
   core::PathloadSession session{fast_tool()};
@@ -97,8 +97,7 @@ TEST(PathloadOverSim, SessionIsReentrant) {
 }
 
 TEST(PathloadOverSim, ExplicitInitialRmaxSkipsDispersionProbe) {
-  PaperPathConfig cfg = paper_path(0.6, sim::Interarrival::kExponential);
-  Testbed bed{cfg};
+  ScenarioInstance bed{paper_path(0.6, sim::Interarrival::kExponential)};
   bed.start();
   SimProbeChannel ch{bed.simulator(), bed.path()};
   auto tool = fast_tool();
@@ -113,7 +112,7 @@ TEST(PathloadOverSim, ExplicitInitialRmaxSkipsDispersionProbe) {
 }
 
 TEST(PathloadOverSim, ResultAccountingConsistent) {
-  const auto result = run_pathload_once(
+  const auto result = run_scenario_once(
       paper_path(0.6, sim::Interarrival::kExponential), fast_tool(), 3);
   EXPECT_EQ(result.fleets, static_cast<int>(result.trace.size()));
   std::int64_t streams_in_trace = 0;
@@ -131,15 +130,14 @@ TEST(PathloadOverSim, MeasurementLatencyIsReasonable) {
   // Section IV: "for a path with A <= 100 Mb/s and RTT <= 100 ms the tool
   // needs less than 15 s" (default resolutions). Our virtual path has
   // RTT ~100 ms.
-  const auto result = run_pathload_once(
+  const auto result = run_scenario_once(
       paper_path(0.6, sim::Interarrival::kExponential), fast_tool(), 31);
   EXPECT_TRUE(result.converged);
   EXPECT_LT(result.elapsed, Duration::seconds(60));
 }
 
 TEST(PathloadOverSim, SendAnomaliesGetRetriedNotCounted) {
-  PaperPathConfig cfg = paper_path(0.6, sim::Interarrival::kExponential);
-  Testbed bed{cfg};
+  ScenarioInstance bed{paper_path(0.6, sim::Interarrival::kExponential)};
   bed.start();
   SimProbeChannel ch{bed.simulator(), bed.path()};
   // Every stream suffers periodic 5 ms stalls -> screened invalid; the

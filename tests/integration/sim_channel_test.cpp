@@ -5,9 +5,15 @@
 #include "core/trend.hpp"
 #include "scenario/paper_path.hpp"
 #include "scenario/sim_channel.hpp"
+#include "scenario/spec.hpp"
 
 namespace pathload::scenario {
 namespace {
+
+/// The paper path `cfg` describes, built the way every scenario is built.
+ScenarioInstance paper_instance(const PaperPathConfig& cfg) {
+  return ScenarioInstance{ScenarioSpec::from_paper("paper", "", cfg)};
+}
 
 PaperPathConfig quiet_path() {
   PaperPathConfig cfg;
@@ -31,7 +37,7 @@ core::StreamSpec spec_at(Rate rate, int k = 100) {
 
 TEST(SimProbeChannel, DeliversAllPacketsOnQuietPath) {
   PaperPathConfig cfg = quiet_path();
-  Testbed bed{cfg};
+  ScenarioInstance bed = paper_instance(cfg);
   bed.start();
   SimProbeChannel ch{bed.simulator(), bed.path()};
   const auto spec = spec_at(Rate::mbps(2));
@@ -45,7 +51,7 @@ TEST(SimProbeChannel, DeliversAllPacketsOnQuietPath) {
 }
 
 TEST(SimProbeChannel, OwdTrendIncreasingWhenRateAboveAvailBw) {
-  Testbed bed{quiet_path()};  // A = 4 Mb/s
+  ScenarioInstance bed = paper_instance(quiet_path());  // A = 4 Mb/s
   bed.start();
   SimProbeChannel ch{bed.simulator(), bed.path()};
   const auto outcome = ch.run_stream(spec_at(Rate::mbps(8)));
@@ -55,7 +61,7 @@ TEST(SimProbeChannel, OwdTrendIncreasingWhenRateAboveAvailBw) {
 }
 
 TEST(SimProbeChannel, OwdTrendFlatWhenRateBelowAvailBw) {
-  Testbed bed{quiet_path()};
+  ScenarioInstance bed = paper_instance(quiet_path());
   bed.start();
   SimProbeChannel ch{bed.simulator(), bed.path()};
   const auto outcome = ch.run_stream(spec_at(Rate::mbps(2)));
@@ -66,12 +72,12 @@ TEST(SimProbeChannel, OwdTrendFlatWhenRateBelowAvailBw) {
 
 TEST(SimProbeChannel, ClockOffsetsDoNotChangeRelativeOwds) {
   PaperPathConfig cfg = quiet_path();
-  Testbed bed1{cfg};
+  ScenarioInstance bed1 = paper_instance(cfg);
   bed1.start();
   SimProbeChannel ch1{bed1.simulator(), bed1.path()};
   const auto owds_synced = core::relative_owds(ch1.run_stream(spec_at(Rate::mbps(6))));
 
-  Testbed bed2{cfg};  // same seed -> identical cross traffic
+  ScenarioInstance bed2 = paper_instance(cfg);  // same seed: identical traffic
   bed2.start();
   SimProbeChannel ch2{bed2.simulator(), bed2.path()};
   ch2.set_sender_clock_offset(Duration::seconds(-3600));
@@ -85,7 +91,7 @@ TEST(SimProbeChannel, ClockOffsetsDoNotChangeRelativeOwds) {
 }
 
 TEST(SimProbeChannel, SendGapInjectionIsVisibleToScreening) {
-  Testbed bed{quiet_path()};
+  ScenarioInstance bed = paper_instance(quiet_path());
   bed.start();
   SimProbeChannel ch{bed.simulator(), bed.path()};
   // Stall 5 ms before every 10th packet: 10 anomalies in 100 packets.
@@ -100,7 +106,7 @@ TEST(SimProbeChannel, SendGapInjectionIsVisibleToScreening) {
 }
 
 TEST(SimProbeChannel, IdleAdvancesVirtualTime) {
-  Testbed bed{quiet_path()};
+  ScenarioInstance bed = paper_instance(quiet_path());
   bed.start();
   SimProbeChannel ch{bed.simulator(), bed.path()};
   const TimePoint before = ch.now();
@@ -109,7 +115,7 @@ TEST(SimProbeChannel, IdleAdvancesVirtualTime) {
 }
 
 TEST(SimProbeChannel, RttCoversForwardAndReversePath) {
-  Testbed bed{quiet_path()};
+  ScenarioInstance bed = paper_instance(quiet_path());
   bed.start();
   SimProbeChannel ch{bed.simulator(), bed.path()};
   // 50 ms forward propagation + 50 ms reverse, plus serialization.
@@ -121,7 +127,7 @@ TEST(SimProbeChannel, LossyPathReportsPartialStream) {
   PaperPathConfig cfg = quiet_path();
   cfg.tight_utilization = 0.8;
   cfg.buffer_drain = Duration::milliseconds(2);  // tiny buffer -> drops
-  Testbed bed{cfg};
+  ScenarioInstance bed = paper_instance(cfg);
   bed.start();
   SimProbeChannel ch{bed.simulator(), bed.path()};
   const auto spec = spec_at(Rate::mbps(40));
@@ -132,7 +138,7 @@ TEST(SimProbeChannel, LossyPathReportsPartialStream) {
 }
 
 TEST(SimProbeChannel, StalePacketsFromPreviousStreamIgnored) {
-  Testbed bed{quiet_path()};
+  ScenarioInstance bed = paper_instance(quiet_path());
   bed.start();
   SimProbeChannel ch{bed.simulator(), bed.path()};
   auto spec1 = spec_at(Rate::mbps(6));
@@ -148,7 +154,7 @@ TEST(SimProbeChannel, StalePacketsFromPreviousStreamIgnored) {
 TEST(SimProbeChannel, RejectsOutOfRangePacketCounts) {
   // The FIFO ticket reservation casts packet_count to uint32; a negative
   // or absurd count must fail loudly instead of wrapping the ticket block.
-  Testbed bed{quiet_path()};
+  ScenarioInstance bed = paper_instance(quiet_path());
   bed.start();
   SimProbeChannel ch{bed.simulator(), bed.path()};
   auto spec = spec_at(Rate::mbps(2));

@@ -3,9 +3,15 @@
 #include "core/tracker.hpp"
 #include "scenario/paper_path.hpp"
 #include "scenario/sim_channel.hpp"
+#include "scenario/spec.hpp"
 
 namespace pathload::scenario {
 namespace {
+
+/// The paper path `cfg` describes, built the way every scenario is built.
+ScenarioInstance paper_instance(const PaperPathConfig& cfg) {
+  return ScenarioInstance{ScenarioSpec::from_paper("paper", "", cfg)};
+}
 
 TEST(TrackerOverSim, TracksSimulatedPath) {
   PaperPathConfig cfg;
@@ -14,7 +20,7 @@ TEST(TrackerOverSim, TracksSimulatedPath) {
   cfg.tight_utilization = 0.6;
   cfg.model = sim::Interarrival::kExponential;
   cfg.warmup = Duration::seconds(1);
-  Testbed bed{cfg};
+  ScenarioInstance bed = paper_instance(cfg);
   bed.start();
   SimProbeChannel channel{bed.simulator(), bed.path()};
 
@@ -38,7 +44,7 @@ TEST(TrackerOverSim, DetectsLoadIncrease) {
   cfg.tight_utilization = 0.3;
   cfg.model = sim::Interarrival::kExponential;
   cfg.warmup = Duration::seconds(1);
-  Testbed bed{cfg};
+  ScenarioInstance bed = paper_instance(cfg);
   bed.start();
   SimProbeChannel channel{bed.simulator(), bed.path()};
 

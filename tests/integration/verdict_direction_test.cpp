@@ -3,9 +3,15 @@
 #include "core/session.hpp"
 #include "scenario/paper_path.hpp"
 #include "scenario/sim_channel.hpp"
+#include "scenario/spec.hpp"
 
 namespace pathload::scenario {
 namespace {
+
+/// The paper path `cfg` describes, built the way every scenario is built.
+ScenarioInstance paper_instance(const PaperPathConfig& cfg) {
+  return ScenarioInstance{ScenarioSpec::from_paper("paper", "", cfg)};
+}
 
 // End-to-end sanity of the verdict *directions*: on a smooth (CBR) path,
 // every fleet whose rate is clearly below the avail-bw must come back
@@ -20,7 +26,7 @@ TEST(VerdictDirection, FleetVerdictsConsistentWithRates) {
   cfg.beta = 2.0;
   cfg.model = sim::Interarrival::kConstant;
   cfg.warmup = Duration::seconds(1);
-  Testbed bed{cfg};
+  ScenarioInstance bed = paper_instance(cfg);
   bed.start();
   SimProbeChannel channel{bed.simulator(), bed.path()};
   core::PathloadConfig tool;
@@ -55,7 +61,7 @@ TEST(VerdictDirection, StreamVotesLeanWithTheRate) {
   cfg.tight_utilization = 0.5;  // A = 5
   cfg.model = sim::Interarrival::kExponential;
   cfg.warmup = Duration::seconds(1);
-  Testbed bed{cfg};
+  ScenarioInstance bed = paper_instance(cfg);
   bed.start();
   SimProbeChannel channel{bed.simulator(), bed.path()};
   core::PathloadConfig tool;

@@ -2,6 +2,8 @@
 
 #include "scenario/experiment.hpp"
 #include "scenario/paper_path.hpp"
+#include "scenario/spec.hpp"
+#include "sim/monitor.hpp"
 
 namespace pathload::scenario {
 namespace {
@@ -17,10 +19,10 @@ TEST(PaperPathConfig, DerivedQuantities) {
   EXPECT_EQ(cfg.nontight_capacity(), Rate::mbps(20));
 }
 
-TEST(Testbed, TightLinkIsMiddleHop) {
+TEST(PaperPathInstance, TightLinkIsMiddleHop) {
   PaperPathConfig cfg;
   cfg.hops = 5;
-  Testbed bed{cfg};
+  ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", cfg)};
   EXPECT_EQ(bed.tight_index(), 2u);
   EXPECT_EQ(bed.path().hop_count(), 5u);
   EXPECT_EQ(bed.tight_link().capacity(), cfg.tight_capacity);
@@ -31,73 +33,67 @@ TEST(Testbed, TightLinkIsMiddleHop) {
   }
 }
 
-TEST(Testbed, RejectsBadConfig) {
+TEST(PaperPathInstance, RejectsBadConfig) {
   PaperPathConfig no_hops;
   no_hops.hops = 0;
-  EXPECT_THROW(Testbed{no_hops}, std::invalid_argument);
+  EXPECT_THROW(ScenarioSpec::from_paper("paper", "", no_hops), SpecError);
   PaperPathConfig overloaded;
   overloaded.tight_utilization = 1.0;
-  EXPECT_THROW(Testbed{overloaded}, std::invalid_argument);
+  EXPECT_THROW(ScenarioSpec::from_paper("paper", "", overloaded), SpecError);
+  PaperPathConfig unbuffered;
+  unbuffered.buffer_drain = Duration::zero();
+  EXPECT_THROW(ScenarioInstance{ScenarioSpec::from_paper("paper", "", unbuffered)},
+               SpecError);
 }
 
-TEST(Testbed, FluidModelMatchesTopology) {
-  PaperPathConfig cfg;
-  cfg.hops = 3;
-  cfg.tight_capacity = Rate::mbps(10);
-  cfg.tight_utilization = 0.6;
-  cfg.beta = 2.0;
-  Testbed bed{cfg};
-  const auto fluid = bed.fluid();
-  EXPECT_EQ(fluid.hop_count(), 3u);
-  EXPECT_EQ(fluid.avail_bw(), Rate::mbps(4));
-  EXPECT_EQ(fluid.tight_link(), bed.tight_index());
-}
-
-TEST(Testbed, WarmupProducesConfiguredUtilization) {
+TEST(PaperPathInstance, WarmupProducesConfiguredUtilization) {
   PaperPathConfig cfg;
   cfg.hops = 1;
   cfg.tight_capacity = Rate::mbps(10);
   cfg.tight_utilization = 0.6;
   cfg.model = sim::Interarrival::kExponential;
   cfg.warmup = Duration::seconds(1);
-  Testbed bed{cfg};
+  ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", cfg)};
   bed.start();
-  auto& monitor = bed.monitor_tight_link(Duration::seconds(20));
+  sim::UtilizationMonitor monitor{bed.simulator(), bed.tight_link(),
+                                  Duration::seconds(20)};
+  monitor.start();
   bed.simulator().run_for(Duration::seconds(21));
   ASSERT_FALSE(monitor.readings().empty());
   EXPECT_NEAR(monitor.readings().front().utilization, 0.6, 0.04);
 }
 
-TEST(Testbed, BetaOneMakesAllLinksEquallyTight) {
+TEST(PaperPathInstance, BetaOneMakesAllLinksEquallyTight) {
   PaperPathConfig cfg;
   cfg.hops = 3;
   cfg.beta = 1.0;
   cfg.tight_utilization = 0.6;
   cfg.nontight_utilization = 0.6;
-  Testbed bed{cfg};
-  const auto fluid = bed.fluid();
-  for (const auto& link : fluid.links()) {
-    EXPECT_EQ(link.avail_bw(), fluid.avail_bw());
+  const ScenarioSpec spec = ScenarioSpec::from_paper("paper", "", cfg);
+  ASSERT_EQ(spec.hops.size(), 3u);
+  for (const HopDecl& hop : spec.hops) {
+    const Rate avail = hop.capacity * (1.0 - hop.traffic.utilization);
+    EXPECT_DOUBLE_EQ(avail.bits_per_sec(), spec.avail_bw().bits_per_sec());
   }
 }
 
-TEST(Testbed, ZeroUtilizationMeansNoTraffic) {
+TEST(PaperPathInstance, ZeroUtilizationMeansNoTraffic) {
   PaperPathConfig cfg;
   cfg.hops = 1;
   cfg.tight_utilization = 0.0;
-  Testbed bed{cfg};
+  ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", cfg)};
   bed.start();
   bed.simulator().run_for(Duration::seconds(2));
   EXPECT_EQ(bed.tight_link().bytes_forwarded(), DataSize::bytes(0));
 }
 
-TEST(Testbed, SeedsGiveReproducibleTraffic) {
+TEST(PaperPathInstance, SeedsGiveReproducibleTraffic) {
   auto run = [](std::uint64_t seed) {
     PaperPathConfig cfg;
     cfg.hops = 1;
     cfg.seed = seed;
     cfg.warmup = Duration::seconds(2);
-    Testbed bed{cfg};
+    ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", cfg)};
     bed.start();
     return bed.tight_link().bytes_forwarded();
   };

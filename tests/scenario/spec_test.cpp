@@ -1,10 +1,15 @@
 // Tests for the scenario spec format: parsing, validation diagnostics,
 // round-tripping, load transforms, and — the load-bearing one — that a
-// paper-form spec instantiates bit-identically to the hand-built Testbed.
+// paper-form spec builds exactly what its expanded hop list describes.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
+#include "core/session.hpp"
 #include "scenario/experiment.hpp"
+#include "scenario/registry.hpp"
+#include "scenario/sim_channel.hpp"
 #include "scenario/spec.hpp"
 
 namespace pathload::scenario {
@@ -192,6 +197,32 @@ TEST(SpecValidate, OutOfRangeValues) {
   expect_spec_error(
       [] { ScenarioSpec::parse("name = x\npaper.tight_utilization = 1.5\n"); },
       "paper.tight_utilization");
+}
+
+TEST(SpecValidate, PaperFormNegativeDelayIsRejected) {
+  // The expanded hops get a negative propagation delay; before the per-hop
+  // checks ran on paper specs this validated, then the run threw from
+  // Simulator::schedule_at.
+  expect_spec_error(
+      [] {
+        ScenarioSpec::parse("name = x\npaper.hops = 3\npaper.total_prop_delay_ms = -30\n");
+      },
+      "hop 0: delay_ms: must not be negative");
+}
+
+TEST(SpecValidate, PaperConfigWithoutBufferIsRejected) {
+  PaperPathConfig cfg;
+  cfg.buffer_drain = Duration::zero();
+  const ScenarioSpec spec = ScenarioSpec::from_paper("p", "", cfg);
+  expect_spec_error([&] { spec.validate(); }, "hop 0: buffer_ms: must be positive");
+  EXPECT_THROW(ScenarioInstance{spec}, SpecError);
+}
+
+TEST(SpecValidate, PaperFormNegativeWarmupIsRejected) {
+  PaperPathConfig cfg;
+  cfg.warmup = Duration::seconds(-1);
+  const ScenarioSpec spec = ScenarioSpec::from_paper("p", "", cfg);
+  expect_spec_error([&] { spec.validate(); }, "warmup_s must not be negative");
 }
 
 TEST(SpecParse, OnOffAndRampDefaultToOneSource) {
@@ -439,20 +470,54 @@ TEST(SpecTransform, WithLoadPreservesPaperBetaInvariant) {
   expect_spec_error([&] { (void)custom.with_load(1.0); }, "must be in [0, 1)");
 }
 
-TEST(SpecInstance, PaperSpecRunsBitIdenticalToTestbed) {
-  // The keystone compatibility guarantee: a registry/spec-driven run of the
-  // paper path must replay the direct PaperPathConfig run to the last bit
-  // (same anchors as tests/integration/engine_determinism_test.cpp).
-  PaperPathConfig cfg;
-  cfg.seed = 77;
-  core::PathloadConfig tool;
-  const auto direct = run_pathload_once(cfg, tool, 77);
-  const auto via_spec =
-      run_scenario_once(ScenarioSpec::from_paper("p", "", cfg), tool, 77);
-  EXPECT_EQ(direct.range.low.bits_per_sec(), via_spec.range.low.bits_per_sec());
-  EXPECT_EQ(direct.range.high.bits_per_sec(), via_spec.range.high.bits_per_sec());
-  EXPECT_EQ(direct.elapsed.nanos(), via_spec.elapsed.nanos());
-  EXPECT_EQ(direct.fleets, via_spec.fleets);
+std::string hex(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%a", v);
+  return buf;
+}
+
+/// What a v1 pathload session costs and reports: events, packet ids and
+/// per-link forwards after the run, then the verdict with floats exact.
+std::string paper_session_trace(ScenarioSpec spec, std::uint64_t seed) {
+  spec.seed = seed;
+  ScenarioInstance inst{std::move(spec)};
+  inst.start();
+  SimProbeChannel channel{inst.simulator(), inst.path()};
+  core::PathloadSession session{core::PathloadConfig{}};
+  const core::PathloadResult r = session.run(channel);
+  std::string out = "events=" + std::to_string(inst.simulator().events_processed()) +
+                    " ids=" + std::to_string(inst.simulator().next_packet_id()) +
+                    " forwarded=";
+  for (std::size_t i = 0; i < inst.path().hop_count(); ++i) {
+    out += std::to_string(inst.path().link(i).packets_forwarded()) + ",";
+  }
+  out += " low=" + hex(r.range.low.bits_per_sec()) +
+         " high=" + hex(r.range.high.bits_per_sec()) +
+         " converged=" + std::to_string(r.converged) + " fleets=" + std::to_string(r.fleets) +
+         " streams=" + std::to_string(r.streams_sent) +
+         " pkts=" + std::to_string(r.packets_sent) +
+         " bytes=" + std::to_string(r.bytes_sent.byte_count()) +
+         " lost=" + std::to_string(r.packets_lost) +
+         " elapsed=" + std::to_string(r.elapsed.nanos());
+  return out;
+}
+
+TEST(SpecInstance, PaperFormBuildsFromItsHopList) {
+  // A paper-form spec is built from its expanded hop list alone: dropping
+  // the PaperPathConfig it came from leaves the v1 run unchanged to the
+  // last event, packet id, forward and verdict bit.
+  for (const char* name : {"paper-path", "paper-path-poisson", "fig11-access",
+                           "fig12-abilene", "fig12-crete", "fig12-pireaus"}) {
+    const ScenarioSpec& preset = Registry::builtin().at(name);
+    ASSERT_TRUE(preset.paper.has_value()) << name;
+    ASSERT_EQ(preset.engine, EngineVersion::kV1) << name;
+    ScenarioSpec hops_only = preset;
+    hops_only.paper.reset();
+    for (const std::uint64_t seed : {1ULL, 77ULL}) {
+      SCOPED_TRACE(std::string{name} + " seed " + std::to_string(seed));
+      EXPECT_EQ(paper_session_trace(preset, seed), paper_session_trace(hops_only, seed));
+    }
+  }
 }
 
 TEST(SpecInstance, CustomSpecWarmupIsDeterministic) {

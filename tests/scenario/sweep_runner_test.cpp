@@ -46,14 +46,15 @@ TEST(SweepRunner, PathloadSweepIsThreadCountInvariant) {
   path.tight_capacity = Rate::mbps(10);
   path.tight_utilization = 0.5;
   path.warmup = Duration::milliseconds(200);
+  const ScenarioSpec spec = ScenarioSpec::from_paper("sweep", "", path);
   core::PathloadConfig tool;
 
   SweepRunner serial{1};
   SweepRunner pooled{4};
-  const auto a = sweep_pathload_repeated(path, tool, 4, /*seed0=*/71, serial);
-  const auto b = sweep_pathload_repeated(path, tool, 4, /*seed0=*/71, pooled);
+  const auto a = sweep_scenario_repeated(spec, tool, 4, /*seed0=*/71, serial);
+  const auto b = sweep_scenario_repeated(spec, tool, 4, /*seed0=*/71, pooled);
   // And against the sequential reference implementation.
-  const auto c = run_pathload_repeated(path, tool, 4, /*seed0=*/71);
+  const auto c = run_scenario_repeated(spec, tool, 4, /*seed0=*/71);
 
   ASSERT_EQ(a.results.size(), b.results.size());
   ASSERT_EQ(a.results.size(), c.results.size());
