@@ -218,7 +218,7 @@ void BM_CrossTrafficSecondV2(benchmark::State& state) {
   // The same operating point under the engine-v2 mapping: renewal cross
   // traffic collapses to a constant fluid rate on a fluid-mode link, so a
   // simulated second costs zero packet events. Paired with
-  // BM_CrossTrafficSecond this is the A/B that tools/bench_ab.sh records.
+  // BM_CrossTrafficSecond it times what the fluid mapping saves on one link.
   for (auto _ : state) {
     sim::Simulator sim;
     sim::Link link{sim, "l", Rate::mbps(10), Duration::zero(),
@@ -249,6 +249,33 @@ void BM_SimSecondsPerSec(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 3);
 }
 BENCHMARK(BM_SimSecondsPerSec)->Arg(0)->Arg(1);
+
+void BM_IdleGapSecond(benchmark::State& state) {
+  // One simulated second of an idle gap between probe streams on paper-path
+  // under v1 (3 hops, 10 Pareto sources each), after the warmup: Arg 0
+  // through the event queue (Simulator::run_for), Arg 1 through the path's
+  // cross-traffic run-ahead, which the probe channel's idle() and the
+  // warmup take. Both arms simulate the same events; items are events.
+  scenario::ScenarioSpec spec = scenario::Registry::builtin().at("paper-path");
+  scenario::ScenarioInstance inst{spec};
+  inst.start();
+  sim::Simulator& sim = inst.simulator();
+  const bool run_ahead = state.range(0) != 0;
+  const std::uint64_t events0 = sim.events_processed();
+  for (auto _ : state) {
+    if (run_ahead) {
+      if (!inst.path().run_cross_traffic_until(sim.now() + Duration::seconds(1))) {
+        state.SkipWithError("the run-ahead declined on paper-path");
+        break;
+      }
+    } else {
+      sim.run_for(Duration::seconds(1));
+    }
+    benchmark::DoNotOptimize(inst.tight_link().packets_forwarded());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(sim.events_processed() - events0));
+}
+BENCHMARK(BM_IdleGapSecond)->Arg(0)->Arg(1);
 
 // One v2 pathload session built as the perfbench workloads build it, with
 // the channel capped at `fastest`. `events` receives the Simulator's count.
@@ -339,9 +366,8 @@ BENCHMARK(BM_TcpScenarioSecond)->Arg(0)->Arg(1);
 void BM_CcDuelSecond(benchmark::State& state) {
   // One simulated second of the tcp-vs-probe-duel scenario under engine
   // v2 with the competing flow on each congestion policy: reno (arg 0),
-  // cubic (arg 1), bbr (arg 2). The A/B rows in BENCH_engine.json track
-  // what the pluggable-CC seam and the model-based policies cost relative
-  // to the frozen reno epoch body.
+  // cubic (arg 1), bbr (arg 2): what the pluggable-CC seam and the
+  // model-based policies cost relative to the frozen reno epoch body.
   static const char* kCc[] = {"reno", "cubic", "bbr"};
   scenario::ScenarioSpec spec =
       scenario::Registry::builtin().at("tcp-vs-probe-duel");

@@ -1225,7 +1225,8 @@ void ScenarioInstance::start() {
   for (auto& t : traffic_) {
     if (t) t->start();
   }
-  sim_.run_for(spec_.warmup);
+  const TimePoint end = sim_.now() + spec_.warmup;
+  if (!path_->run_cross_traffic_until(end)) sim_.run_until(end);
 }
 
 }  // namespace pathload::scenario

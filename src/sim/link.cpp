@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sim/traffic.hpp"
+
 namespace pathload::sim {
 
 Link::Link(Simulator& sim, std::string name, Rate capacity, Duration prop_delay,
@@ -18,6 +20,10 @@ Link::Link(Simulator& sim, std::string name, Rate capacity, Duration prop_delay,
   if (capacity <= Rate::zero()) {
     throw std::invalid_argument{"Link capacity must be positive"};
   }
+}
+
+Link::~Link() {
+  for (CrossTrafficSource* s : sources_) s->link_ = nullptr;
 }
 
 template <typename Accept>
@@ -52,18 +58,23 @@ void Link::accept(const Packet& p) {
     accept_fluid(p);
     return;
   }
+  if (enqueue(p)) arm_service();
+}
+
+bool Link::enqueue(const Packet& p) {
   if (busy_) {
     if (queued_bytes_ + p.size() > buffer_limit_) {
       ++drops_;
       if (p.flow != kCrossTrafficFlow) ++flow_drops_[p.flow];
-      return;
+      return false;
     }
     queue_.push_back(p);
     queued_bytes_ += p.size();
-    return;
+    return false;
   }
   in_service_ = p;
-  begin_service();
+  start_service();
+  return true;
 }
 
 void Link::set_impairments(const LinkImpairments& imp) {
@@ -160,15 +171,23 @@ DataSize Link::bytes_forwarded() const {
   return bytes_forwarded_ + DataSize::bytes(static_cast<std::int64_t>(fluid));
 }
 
-void Link::begin_service() {
+void Link::start_service() {
   busy_ = true;
-  const Duration tx = capacity_.transmission_time(in_service_.size());
-  service_timer_.schedule_in(tx);
+  service_at_ = sim_.now() + capacity_.transmission_time(in_service_.size());
+  service_ticket_ = sim_.reserve_fifo_tickets(1);
 }
 
+void Link::arm_service() { service_timer_.schedule_at(service_at_, service_ticket_); }
+
 void Link::finish_service() {
+  if (complete_service()) arm_delivery();
+  if (busy_) arm_service();
+}
+
+bool Link::complete_service() {
   bytes_forwarded_ += in_service_.size();
   ++packets_forwarded_;
+  bool new_front = false;
   if (downstream_ != nullptr) {
     // Propagation: the packet appears at the downstream node prop_delay
     // after its last bit leaves this link. Reorder jitter stretches the
@@ -178,19 +197,24 @@ void Link::finish_service() {
     if (impair_rng_ != nullptr && impair_.reorder > Duration::zero()) {
       delay += impair_.reorder * impair_rng_->uniform();
     }
-    launch(in_service_, delay);
+    new_front = enter_delay_line(in_service_, delay);
   }
   if (!queue_.empty()) {
     in_service_ = queue_.front();
     queue_.pop_front();
     queued_bytes_ -= in_service_.size();
-    begin_service();
+    start_service();
   } else {
     busy_ = false;
   }
+  return new_front;
 }
 
 void Link::launch(const Packet& p, Duration delay) {
+  if (enter_delay_line(p, delay)) arm_delivery();
+}
+
+bool Link::enter_delay_line(const Packet& p, Duration delay) {
   const InFlight e{(sim_.now() + delay).nanos(), sim_.reserve_fifo_tickets(1),
                    downstream_, p};
   // Without jitter every delay is the same, so the entry is the latest and
@@ -203,9 +227,15 @@ void Link::launch(const Packet& p, Duration delay) {
     delay_line_[i] = delay_line_[i - 1];
   }
   if (i + 1 < delay_line_.size()) delay_line_[i] = e;
-  // A new front re-arms the timer; the key armed for the old front goes
-  // stale and is skipped without counting as an event.
-  if (i == 0) delivery_timer_.schedule_at(TimePoint::from_nanos(e.at), e.ticket);
+  // A new front needs the timer re-armed (by the caller); the key armed
+  // for the old front goes stale and is skipped without counting as an
+  // event.
+  return i == 0;
+}
+
+void Link::arm_delivery() {
+  const InFlight& front = delay_line_.front();
+  delivery_timer_.schedule_at(TimePoint::from_nanos(front.at), front.ticket);
 }
 
 void Link::deliver_head() {
@@ -214,11 +244,44 @@ void Link::deliver_head() {
   // must find the timer armed for the current front.
   const InFlight head = delay_line_.front();
   delay_line_.pop_front();
-  if (!delay_line_.empty()) {
-    const InFlight& next = delay_line_.front();
-    delivery_timer_.schedule_at(TimePoint::from_nanos(next.at), next.ticket);
-  }
+  if (!delay_line_.empty()) arm_delivery();
   head.target->handle(head.pkt);
+}
+
+bool Link::holds_only_local(const PacketHandler* junction) const {
+  if (fluid_mode_ || impair_rng_ != nullptr || downstream_ != junction) return false;
+  if (busy_ && in_service_.transit) return false;
+  for (std::size_t i = 0; i < queue_.size(); ++i) {
+    if (queue_[i].transit) return false;
+  }
+  for (std::size_t i = 0; i < delay_line_.size(); ++i) {
+    const InFlight& e = delay_line_[i];
+    if (e.pkt.transit || e.target != junction) return false;
+  }
+  return true;
+}
+
+std::size_t Link::armed_timers() const {
+  return (service_timer_.pending() ? 1 : 0) + (delivery_timer_.pending() ? 1 : 0);
+}
+
+void Link::hold_timers() {
+  service_timer_.cancel();
+  delivery_timer_.cancel();
+}
+
+void Link::rearm_timers() {
+  if (busy_) arm_service();
+  if (!delay_line_.empty()) arm_delivery();
+}
+
+std::uint64_t Link::retire_deliveries(std::int64_t upto) {
+  std::uint64_t n = 0;
+  while (!delay_line_.empty() && delay_line_.front().at <= upto) {
+    delay_line_.pop_front();
+    ++n;
+  }
+  return n;
 }
 
 std::uint64_t Link::drops_for_flow(std::uint32_t flow) const {

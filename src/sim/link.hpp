@@ -15,6 +15,9 @@
 
 namespace pathload::sim {
 
+class CrossTrafficSource;
+class Path;
+
 /// Optional stochastic impairments of a link, off by default.
 ///
 /// Each enabled knob draws from the link's *own* seeded RNG stream (never
@@ -56,6 +59,7 @@ class Link final : public PacketHandler {
  public:
   Link(Simulator& sim, std::string name, Rate capacity, Duration prop_delay,
        DataSize buffer_limit);
+  ~Link() override;
 
   /// Downstream receiver of everything this link forwards (not owned).
   /// A packet already in flight still reaches the receiver that was set
@@ -151,6 +155,11 @@ class Link final : public PacketHandler {
   /// see before reaching the wire (diagnostics / tests).
   Duration backlog_delay() const;
 
+  /// The renewal sources that feed this link, in the order they attached
+  /// (CrossTrafficSource's Link& constructor). Path's cross-traffic
+  /// run-ahead drives them; a source detaches when it is destroyed.
+  const std::vector<CrossTrafficSource*>& sources() const { return sources_; }
+
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
@@ -162,10 +171,45 @@ class Link final : public PacketHandler {
   void accept_fluid(const Packet& p);
   void settle_fluid();
   void settle_fluid_at(TimePoint now);
-  void begin_service();
-  void finish_service();
+
+  // Packet service is split into state changes and timer arms, so the
+  // timer callbacks and Path's cross-traffic run-ahead, which holds the
+  // timers while it runs, share one definition of the link's semantics.
+  // Each state change reserves the FIFO ticket of the event it makes
+  // pending at the moment the timer arm used to take it; the arm is then
+  // free to happen later with that ticket.
+
+  /// Packet-mode arrival: drop-tail, queue, or start serializing. True if
+  /// service started, so its completion (service_at_, service_ticket_) is
+  /// newly pending.
+  bool enqueue(const Packet& p);
+  void start_service();
+  /// The end of a serialization: account the packet, put it in the delay
+  /// line, start the next one. True if the packet is the delay line's new
+  /// front, so its delivery is newly pending.
+  bool complete_service();
+  void finish_service();  // service_timer_'s callback
+  /// Put a packet in the delay line; true if it is the new front.
+  bool enter_delay_line(const Packet& p, Duration delay);
   void launch(const Packet& p, Duration delay);
-  void deliver_head();
+  void deliver_head();  // delivery_timer_'s callback
+  void arm_service();
+  void arm_delivery();
+
+  // Path's cross-traffic run-ahead (Path::run_cross_traffic_until).
+  friend class Path;
+  /// True if the link serves packets, unimpaired, into `junction`, and
+  /// every packet it holds (in service, queued, in flight) is hop-local
+  /// and bound for `junction`.
+  bool holds_only_local(const PacketHandler* junction) const;
+  std::size_t armed_timers() const;
+  void hold_timers();
+  void rearm_timers();
+  /// Pop the delay line's entries due by `upto` without handing them on,
+  /// returning how many. Only for receivers that discard them.
+  std::uint64_t retire_deliveries(std::int64_t upto);
+
+  friend class CrossTrafficSource;  // attaches to sources_
 
   Simulator& sim_;
   std::string name_;
@@ -177,8 +221,11 @@ class Link final : public PacketHandler {
   Packet in_service_{};
   // End-of-serialization is one reusable timer re-armed per packet: the
   // per-packet drain event costs no closure construction and no allocation.
+  // While busy_, the pending completion is (service_at_, service_ticket_).
   Simulator::TimerHandle service_timer_;
   bool busy_{false};
+  TimePoint service_at_{};
+  std::uint64_t service_ticket_{0};
   DataSize queued_bytes_{};
 
   // Fluid-mode state (engine v2). fluid_work_secs_ is the FIFO virtual
@@ -225,6 +272,8 @@ class Link final : public PacketHandler {
   std::uint64_t impaired_drops_{0};
   std::uint64_t duplicates_{0};
   std::unordered_map<std::uint32_t, std::uint64_t> flow_dups_;
+
+  std::vector<CrossTrafficSource*> sources_;
 };
 
 }  // namespace pathload::sim

@@ -112,11 +112,6 @@ void Simulator::schedule_now(Callback cb) {
   insert(Key{now_.nanos(), ++seq_, s, s->gen});
 }
 
-std::uint64_t Simulator::reserve_fifo_tickets(std::uint32_t n) {
-  seq_ += n;
-  return seq_ - n + 1;
-}
-
 std::uint64_t Simulator::schedule_batch(std::vector<BatchEvent> entries) {
   // Validate the whole batch before touching any state: a throwing call
   // must leave the FIFO numbering and the queue exactly as it found them
@@ -390,15 +385,10 @@ void Simulator::run_until(TimePoint t) {
   if (t > now_) now_ = t;
 }
 
-void Simulator::fast_forward(TimePoint t, std::uint64_t n) {
-  if (live_ != 0 || t < now_) {
-    throw std::logic_error{"Simulator::fast_forward: " + std::to_string(live_) +
-                           " events queued, t=" + std::to_string(t.nanos()) +
-                           "ns, now=" + std::to_string(now_.nanos()) + "ns"};
-  }
-  now_ = t;
-  processed_ += n;
-  resolved_ += n;
+void Simulator::throw_fast_forward(TimePoint t) const {
+  throw std::logic_error{"Simulator::fast_forward: " + std::to_string(live_) +
+                         " events queued, t=" + std::to_string(t.nanos()) +
+                         "ns, now=" + std::to_string(now_.nanos()) + "ns"};
 }
 
 void Simulator::run_all() {

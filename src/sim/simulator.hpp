@@ -119,7 +119,10 @@ class Simulator {
   /// attaches them to later timer re-arms: equal-timestamp ordering against
   /// other events is then exactly as if all occurrences had been scheduled
   /// upfront, which keeps runs bit-identical to the pre-timer engine.
-  std::uint64_t reserve_fifo_tickets(std::uint32_t n);
+  std::uint64_t reserve_fifo_tickets(std::uint32_t n) {
+    seq_ += n;
+    return seq_ - n + 1;
+  }
 
   /// One event of a schedule_batch call.
   struct BatchEvent {
@@ -157,7 +160,12 @@ class Simulator {
   /// counted timers' stale keys included), or if `t` is in the past. The
   /// caller reserves the FIFO tickets the replaced events would have taken
   /// (reserve_fifo_tickets), so later tie-breaks are unchanged.
-  void fast_forward(TimePoint t, std::uint64_t n);
+  void fast_forward(TimePoint t, std::uint64_t n) {
+    if (live_ != 0 || t < now_) [[unlikely]] throw_fast_forward(t);
+    now_ = t;
+    processed_ += n;
+    resolved_ += n;
+  }
 
   /// Events fired, plus events resolved in closed form (fast_forward),
   /// which count what the path their caller replaced would have fired.
@@ -267,6 +275,7 @@ class Simulator {
   friend class TimerHandle;
 
   [[noreturn]] static void throw_past(TimePoint t, TimePoint now);
+  [[noreturn]] void throw_fast_forward(TimePoint t) const;
 
   std::vector<std::unique_ptr<Slot[]>> slab_;
   std::size_t slab_used_{0};  // slots handed out from the newest block

@@ -1,6 +1,10 @@
 #include "sim/traffic.hpp"
 
 #include <stdexcept>
+#include <utility>
+#include <vector>
+
+#include "sim/link.hpp"
 
 namespace pathload::sim {
 
@@ -57,10 +61,30 @@ CrossTrafficSource::CrossTrafficSource(Simulator& sim, PacketHandler& target,
   pareto_inv_alpha_ = 1.0 / pareto_alpha_;
 }
 
+CrossTrafficSource::CrossTrafficSource(Simulator& sim, Link& target, Rate mean_rate,
+                                       Interarrival model, PacketSizeMix mix, Rng rng,
+                                       double pareto_alpha)
+    : CrossTrafficSource(sim, static_cast<PacketHandler&>(target), mean_rate, model,
+                         std::move(mix), rng, pareto_alpha) {
+  link_ = &target;
+  target.sources_.push_back(this);
+}
+
+CrossTrafficSource::~CrossTrafficSource() {
+  if (link_ != nullptr) std::erase(link_->sources_, this);
+}
+
 void CrossTrafficSource::start() {
   if (running_) return;
   running_ = true;
-  timer_.schedule_in(next_interarrival());
+  plan_next();
+  arm();
+}
+
+void CrossTrafficSource::plan_next() {
+  // The gap is drawn before the ticket is taken, as the timer arm took it.
+  next_at_ = sim_.now() + next_interarrival();
+  next_ticket_ = sim_.reserve_fifo_tickets(1);
 }
 
 Duration CrossTrafficSource::next_interarrival() {
@@ -78,6 +102,13 @@ Duration CrossTrafficSource::next_interarrival() {
 
 void CrossTrafficSource::emit_and_reschedule() {
   if (!running_) return;
+  const Packet p = make_packet();
+  target_.handle(p);
+  sent(p);
+  arm();
+}
+
+Packet CrossTrafficSource::make_packet() {
   Packet p;
   p.id = sim_.next_packet_id();
   p.flow = kCrossTrafficFlow;
@@ -85,16 +116,32 @@ void CrossTrafficSource::emit_and_reschedule() {
   p.size_bytes = mix_.sample(rng_);
   p.transit = false;
   p.entered = sim_.now();
-  target_.handle(p);
+  return p;
+}
+
+void CrossTrafficSource::sent(const Packet& p) {
   ++packets_sent_;
   bytes_sent_ += p.size();
-  timer_.schedule_in(next_interarrival());
+  plan_next();
 }
 
 TrafficAggregate::TrafficAggregate(Simulator& sim, PacketHandler& target,
                                    Rate aggregate_rate, int num_sources,
                                    Interarrival model, PacketSizeMix mix, Rng rng,
                                    double pareto_alpha) {
+  build(sim, target, aggregate_rate, num_sources, model, mix, rng, pareto_alpha);
+}
+
+TrafficAggregate::TrafficAggregate(Simulator& sim, Link& target, Rate aggregate_rate,
+                                   int num_sources, Interarrival model, PacketSizeMix mix,
+                                   Rng rng, double pareto_alpha) {
+  build(sim, target, aggregate_rate, num_sources, model, mix, rng, pareto_alpha);
+}
+
+template <typename Target>
+void TrafficAggregate::build(Simulator& sim, Target& target, Rate aggregate_rate,
+                             int num_sources, Interarrival model, const PacketSizeMix& mix,
+                             Rng& rng, double pareto_alpha) {
   if (num_sources <= 0) {
     throw std::invalid_argument{"TrafficAggregate needs at least one source"};
   }

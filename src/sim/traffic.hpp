@@ -31,6 +31,9 @@
 
 namespace pathload::sim {
 
+class Link;
+class Path;
+
 /// Interarrival process of a cross-traffic source.
 enum class Interarrival {
   kExponential,  ///< Poisson arrivals (the paper's "smooth" traffic model)
@@ -92,11 +95,17 @@ class PacketSizeMix {
 /// drawn independently from the mix. Cross-traffic packets are hop-local
 /// (transit = false): they contend for exactly one link and then leave the
 /// path, matching the simulation topology of Fig. 4.
+///
+/// Built on a Link, the source attaches to it (Link::sources()) until it
+/// is destroyed, so Path's cross-traffic run-ahead can drive it.
 class CrossTrafficSource {
  public:
   CrossTrafficSource(Simulator& sim, PacketHandler& target, Rate mean_rate,
                      Interarrival model, PacketSizeMix mix, Rng rng,
                      double pareto_alpha = 1.9);
+  CrossTrafficSource(Simulator& sim, Link& target, Rate mean_rate, Interarrival model,
+                     PacketSizeMix mix, Rng rng, double pareto_alpha = 1.9);
+  ~CrossTrafficSource();
 
   /// Begin emitting packets (first arrival is one interarrival from now).
   void start();
@@ -114,11 +123,25 @@ class CrossTrafficSource {
   CrossTrafficSource& operator=(const CrossTrafficSource&) = delete;
 
  private:
+  // An emission is make_packet, the hand-off to the target, then sent. The
+  // timer callback and Path's cross-traffic run-ahead (which hands the
+  // packet to Link::enqueue and holds the timer) share these steps.
   void emit_and_reschedule();
+  /// The next packet: draws its id and its size.
+  Packet make_packet();
+  /// Count `p` as sent and plan the next emission.
+  void sent(const Packet& p);
+  /// Draw the next gap and reserve the FIFO ticket of the next emission.
+  void plan_next();
+  void arm() { timer_.schedule_at(next_at_, next_ticket_); }
   Duration next_interarrival();
+
+  friend class Link;  // clears link_ when the link goes first
+  friend class Path;
 
   Simulator& sim_;
   PacketHandler& target_;
+  Link* link_{nullptr};  // the link attached to, if built on one
   Rate mean_rate_;
   Interarrival model_;
   PacketSizeMix mix_;
@@ -132,6 +155,9 @@ class CrossTrafficSource {
   Simulator::TimerHandle timer_;
 
   bool running_{false};
+  // The pending emission, while the timer is armed.
+  TimePoint next_at_{};
+  std::uint64_t next_ticket_{0};
   std::uint64_t packets_sent_{0};
   DataSize bytes_sent_{};
 };
@@ -146,6 +172,10 @@ class TrafficAggregate final : public TrafficGen {
   TrafficAggregate(Simulator& sim, PacketHandler& target, Rate aggregate_rate,
                    int num_sources, Interarrival model, PacketSizeMix mix, Rng rng,
                    double pareto_alpha = 1.9);
+  /// The sources attach to `target` (see CrossTrafficSource).
+  TrafficAggregate(Simulator& sim, Link& target, Rate aggregate_rate, int num_sources,
+                   Interarrival model, PacketSizeMix mix, Rng rng,
+                   double pareto_alpha = 1.9);
 
   void start() override;
   void stop() override;
@@ -154,6 +184,10 @@ class TrafficAggregate final : public TrafficGen {
   int source_count() const { return static_cast<int>(sources_.size()); }
 
  private:
+  template <typename Target>
+  void build(Simulator& sim, Target& target, Rate aggregate_rate, int num_sources,
+             Interarrival model, const PacketSizeMix& mix, Rng& rng, double pareto_alpha);
+
   std::vector<std::unique_ptr<CrossTrafficSource>> sources_;
 };
 

@@ -29,7 +29,9 @@ class RingBuffer {
 
   /// The i-th element from the front (0 is the front).
   T& operator[](std::size_t i) { return buf_[(head_ + i) & (cap_ - 1)]; }
+  const T& operator[](std::size_t i) const { return buf_[(head_ + i) & (cap_ - 1)]; }
   T& front() { return buf_[head_]; }
+  const T& front() const { return buf_[head_]; }
 
   void push_back(const T& v) {
     if (size_ == cap_) grow();

@@ -54,7 +54,11 @@ TEST(EngineDeterminism, PaperPathPathloadRunEventAndForwardCountsPinned) {
   // seed 77, run the way the estimator registry runs it. The counts were
   // captured with one scheduled event per packet delivery, before links had
   // delay lines: they pin that a delay line fires exactly one event per
-  // delivery and forwards every packet.
+  // delivery and forwards every packet. The resolved share is the cross
+  // traffic of the warmup and of the idle gaps between streams, which the
+  // path's run-ahead (sim::Path::run_cross_traffic_until) runs outside the
+  // event queue: the total stays the event-driven count, and a run-ahead
+  // that silently stopped applying would show here.
   ScenarioSpec spec = Registry::builtin().at("paper-path");
   spec.seed = 77;
   ScenarioInstance inst{std::move(spec)};
@@ -66,6 +70,7 @@ TEST(EngineDeterminism, PaperPathPathloadRunEventAndForwardCountsPinned) {
   ASSERT_EQ(report.outcome, core::EstimateReport::Outcome::kOk) << report.outcome_note;
 
   EXPECT_EQ(inst.simulator().events_processed(), 577717u);
+  EXPECT_EQ(inst.simulator().events_resolved(), 453475u);
   ASSERT_EQ(inst.path().hop_count(), 3u);
   EXPECT_EQ(inst.path().link(0).packets_forwarded(), 76852u);
   EXPECT_EQ(inst.path().link(1).packets_forwarded(), 40497u);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <random>
 #include <stdexcept>
 #include <vector>
 
@@ -8,6 +11,97 @@
 
 namespace pathload {
 namespace {
+
+// Seeds for the comparisons against the std:: objects, including both
+// extremes of the seed range.
+const std::vector<std::uint64_t> kSeeds{0, 1, 42, 5489, 20020800, 0x8000000000000000ULL,
+                                        0xFFFFFFFFFFFFFFFFULL};
+
+TEST(Mt19937_64, WordsMatchStdMt19937_64) {
+  // 4,000 words cross the twist a dozen times per seed.
+  for (const std::uint64_t seed : kSeeds) {
+    Mt19937_64 ours{seed};
+    std::mt19937_64 ref{seed};
+    for (int i = 0; i < 4000; ++i) {
+      ASSERT_EQ(ours(), ref()) << "seed " << seed << ", word " << i;
+    }
+  }
+  Mt19937_64 ours;
+  std::mt19937_64 ref;
+  for (int i = 0; i < 1000; ++i) ASSERT_EQ(ours(), ref()) << "default seed, word " << i;
+}
+
+TEST(Rng, UniformMatchesStdUniformRealDistribution) {
+  for (const std::uint64_t seed : kSeeds) {
+    Rng rng{seed};
+    std::mt19937_64 ref{seed};
+    std::uniform_real_distribution<double> dist{0.0, 1.0};
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(rng.uniform(), dist(ref)) << "seed " << seed << ", draw " << i;
+    }
+  }
+}
+
+TEST(Rng, ExponentialMatchesStdExponentialDistribution) {
+  for (const std::uint64_t seed : kSeeds) {
+    for (const double mean : {1e-4, 0.0123, 1.0, 3.0, 1e6}) {
+      Rng rng{seed};
+      std::mt19937_64 ref{seed};
+      for (int i = 0; i < 500; ++i) {
+        const double want = std::exponential_distribution<double>{1.0 / mean}(ref);
+        ASSERT_EQ(rng.exponential(mean), want)
+            << "seed " << seed << ", mean " << mean << ", draw " << i;
+      }
+    }
+  }
+}
+
+TEST(Rng, UniformIndexMatchesStdUniformIntDistribution) {
+  for (const std::uint64_t seed : kSeeds) {
+    Rng rng{seed};
+    std::mt19937_64 ref{seed};
+    for (const std::uint64_t n : {1ULL, 2ULL, 13ULL, 1000ULL, 0x8000000000000001ULL}) {
+      for (int i = 0; i < 200; ++i) {
+        std::uniform_int_distribution<std::uint64_t> dist{0, n - 1};
+        ASSERT_EQ(rng.uniform_index(n), dist(ref)) << "seed " << seed << ", n " << n;
+      }
+    }
+  }
+}
+
+/// A 64-bit UniformRandomBitGenerator that returns one fixed word, to put
+/// chosen words through the std:: distribution.
+struct FixedWord {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type operator()() const { return word; }
+  result_type word;
+};
+
+TEST(Rng, UnitFromWordMatchesCanonicalAtRoundingEdges) {
+  // The words where the two-halves conversion could part from the plain
+  // cast: around 2^53 (the first words a double cannot hold), around 2^63
+  // (the top bit, where the plain cast branches) and the top words, which
+  // round to 2^64 and take the nextafter clamp.
+  const std::uint64_t p53 = std::uint64_t{1} << 53;
+  const std::uint64_t p63 = std::uint64_t{1} << 63;
+  const std::uint64_t top = ~std::uint64_t{0};
+  std::vector<std::uint64_t> words{0,       1,       0xFFFFFFFFULL, 0x100000000ULL,
+                                   p53 - 1, p53,     p53 + 1,       p53 + 2,
+                                   p53 + 3, p63 - 1, p63,           p63 + 1,
+                                   p63 + 0x400, p63 + 0x401, p63 + 0xC00, top - 0x400,
+                                   top - 0x3FF, top - 1, top};
+  Mt19937_64 gen{7};
+  for (int i = 0; i < 1000; ++i) words.push_back(gen());
+  for (const std::uint64_t w : words) {
+    FixedWord stub{w};
+    const double want = std::uniform_real_distribution<double>{0.0, 1.0}(stub);
+    EXPECT_EQ(Rng::unit_from_word(w), want) << std::hex << "word 0x" << w;
+  }
+  EXPECT_EQ(Rng::unit_from_word(top), std::nextafter(1.0, 0.0));
+  EXPECT_LT(Rng::unit_from_word(top - 0x400), 1.0);
+}
 
 TEST(Rng, DeterministicGivenSeed) {
   Rng a{42};

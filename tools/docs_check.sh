@@ -76,7 +76,6 @@ for doc in "${docs[@]}"; do
     name=${target#bench_}
     case $name in
       smoke|smoke_*) continue ;;  # ctest names, not bench sources
-      ab) continue ;;             # tools/bench_ab.sh, a script not a bench source
     esac
     [ -f "$root/bench/$name.cpp" ] ||
       err "$(basename "$doc"): bench target '$target' has no bench/$name.cpp"
