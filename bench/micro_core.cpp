@@ -236,46 +236,40 @@ void BM_SimSecondsPerSec(benchmark::State& state) {
   // Headline engine metric: simulated seconds per wall-clock second on the
   // full paper-path scenario (3 hops, 10 Pareto sources each, utilization
   // accounting live). Arg 0 = engine v1, Arg 1 = engine v2; each iteration
-  // simulates warmup (2 s, run by start()) + 1 s, so items/s x 3 =
-  // simulated-seconds/s.
+  // simulates the preset's warmup (run by start()) + 1 s, and items are
+  // simulated seconds, so items/s = simulated-seconds/s.
   scenario::ScenarioSpec spec = scenario::Registry::builtin().at("paper-path");
   if (state.range(0) != 0) spec.engine = scenario::EngineVersion::kV2;
+  const Duration per_iteration = spec.warmup + Duration::seconds(1);
   for (auto _ : state) {
     scenario::ScenarioInstance inst{spec};
     inst.start();
     inst.simulator().run_for(Duration::seconds(1));
     benchmark::DoNotOptimize(inst.tight_link().bytes_forwarded());
   }
-  state.SetItemsProcessed(state.iterations() * 3);
+  state.counters["sim_s_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * per_iteration.secs(),
+      benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SimSecondsPerSec)->Arg(0)->Arg(1);
 
 void BM_IdleGapSecond(benchmark::State& state) {
   // One simulated second of an idle gap between probe streams on paper-path
-  // under v1 (3 hops, 10 Pareto sources each), after the warmup: Arg 0
-  // through the event queue (Simulator::run_for), Arg 1 through the path's
-  // cross-traffic run-ahead, which the probe channel's idle() and the
-  // warmup take. Both arms simulate the same events; items are events.
+  // under v1 (3 hops, 10 Pareto sources each), after the warmup, as the
+  // probe channel's idle() runs it: every event fires from a link entry.
+  // Items are events.
   scenario::ScenarioSpec spec = scenario::Registry::builtin().at("paper-path");
   scenario::ScenarioInstance inst{spec};
   inst.start();
   sim::Simulator& sim = inst.simulator();
-  const bool run_ahead = state.range(0) != 0;
   const std::uint64_t events0 = sim.events_processed();
   for (auto _ : state) {
-    if (run_ahead) {
-      if (!inst.path().run_cross_traffic_until(sim.now() + Duration::seconds(1))) {
-        state.SkipWithError("the run-ahead declined on paper-path");
-        break;
-      }
-    } else {
-      sim.run_for(Duration::seconds(1));
-    }
+    sim.run_for(Duration::seconds(1));
     benchmark::DoNotOptimize(inst.tight_link().packets_forwarded());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(sim.events_processed() - events0));
 }
-BENCHMARK(BM_IdleGapSecond)->Arg(0)->Arg(1);
+BENCHMARK(BM_IdleGapSecond);
 
 // One v2 pathload session built as the perfbench workloads build it, with
 // the channel capped at `fastest`. `events` receives the Simulator's count.

@@ -24,11 +24,7 @@ class SimProbeChannel final : public core::ProbeChannel, public core::BulkChanne
   ~SimProbeChannel() override;
 
   core::StreamOutcome run_stream(const core::StreamSpec& spec) override;
-  /// Idle gaps between streams: the path's cross-traffic run-ahead when
-  /// only hop-local renewal traffic is pending, else the event queue.
-  void idle(Duration d) override {
-    if (!path_.run_cross_traffic_until(sim_.now() + d)) sim_.run_for(d);
-  }
+  void idle(Duration d) override { sim_.run_for(d); }
   TimePoint now() override { return sim_.now(); }
   Duration rtt() const override;
 

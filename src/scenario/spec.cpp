@@ -1225,8 +1225,7 @@ void ScenarioInstance::start() {
   for (auto& t : traffic_) {
     if (t) t->start();
   }
-  const TimePoint end = sim_.now() + spec_.warmup;
-  if (!path_->run_cross_traffic_until(end)) sim_.run_until(end);
+  sim_.run_for(spec_.warmup);
 }
 
 }  // namespace pathload::scenario

@@ -14,16 +14,17 @@ Link::Link(Simulator& sim, std::string name, Rate capacity, Duration prop_delay,
       name_{std::move(name)},
       capacity_{capacity},
       prop_delay_{prop_delay},
-      buffer_limit_{buffer_limit},
-      service_timer_{sim.make_timer([this] { finish_service(); })},
-      delivery_timer_{sim.make_timer([this] { deliver_head(); })} {
+      buffer_limit_{buffer_limit} {
   if (capacity <= Rate::zero()) {
     throw std::invalid_argument{"Link capacity must be positive"};
   }
+  entry_.link = this;
+  sim_.register_entry(entry_);
 }
 
 Link::~Link() {
-  for (CrossTrafficSource* s : sources_) s->link_ = nullptr;
+  for (CrossTrafficSource* s : sources_) s->detach();
+  sim_.unregister_entry(entry_);
 }
 
 template <typename Accept>
@@ -51,30 +52,37 @@ void Link::admit(const Packet& p, Accept&& accept) {
 
 void Link::handle(const Packet& p) {
   admit(p, [this](const Packet& q) { accept(q); });
+  sim_.refresh(entry_);
+}
+
+void Link::emit() {
+  // The top emission's source stays on top while the link takes its packet:
+  // accepting a packet touches the service and delivery keys only.
+  Simulator::LinkEntry::Emission& top = entry_.emissions.front();
+  CrossTrafficSource& s = *top.source;
+  const Packet p = s.make_packet();
+  admit(p, [this](const Packet& q) { accept(q); });
+  s.sent(p);
+  top.key = Simulator::event_key(s.next_at_, s.next_ticket_);
+  entry_.sift_top();
+  sim_.refresh(entry_);
 }
 
 void Link::accept(const Packet& p) {
   if (fluid_mode_) {
     accept_fluid(p);
-    return;
-  }
-  if (enqueue(p)) arm_service();
-}
-
-bool Link::enqueue(const Packet& p) {
-  if (busy_) {
+  } else if (busy()) {
     if (queued_bytes_ + p.size() > buffer_limit_) {
       ++drops_;
       if (p.flow != kCrossTrafficFlow) ++flow_drops_[p.flow];
-      return false;
+      return;
     }
     queue_.push_back(p);
     queued_bytes_ += p.size();
-    return false;
+  } else {
+    in_service_ = p;
+    start_service();
   }
-  in_service_ = p;
-  start_service();
-  return true;
 }
 
 void Link::set_impairments(const LinkImpairments& imp) {
@@ -172,22 +180,14 @@ DataSize Link::bytes_forwarded() const {
 }
 
 void Link::start_service() {
-  busy_ = true;
-  service_at_ = sim_.now() + capacity_.transmission_time(in_service_.size());
-  service_ticket_ = sim_.reserve_fifo_tickets(1);
+  entry_.service = Simulator::event_key(
+      sim_.now() + capacity_.transmission_time(in_service_.size()),
+      sim_.reserve_fifo_tickets(1));
 }
-
-void Link::arm_service() { service_timer_.schedule_at(service_at_, service_ticket_); }
 
 void Link::finish_service() {
-  if (complete_service()) arm_delivery();
-  if (busy_) arm_service();
-}
-
-bool Link::complete_service() {
   bytes_forwarded_ += in_service_.size();
   ++packets_forwarded_;
-  bool new_front = false;
   if (downstream_ != nullptr) {
     // Propagation: the packet appears at the downstream node prop_delay
     // after its last bit leaves this link. Reorder jitter stretches the
@@ -197,7 +197,7 @@ bool Link::complete_service() {
     if (impair_rng_ != nullptr && impair_.reorder > Duration::zero()) {
       delay += impair_.reorder * impair_rng_->uniform();
     }
-    new_front = enter_delay_line(in_service_, delay);
+    launch(in_service_, delay);
   }
   if (!queue_.empty()) {
     in_service_ = queue_.front();
@@ -205,83 +205,47 @@ bool Link::complete_service() {
     queued_bytes_ -= in_service_.size();
     start_service();
   } else {
-    busy_ = false;
+    entry_.service = Simulator::kNoEvent;
   }
-  return new_front;
+  sim_.refresh(entry_);
 }
 
 void Link::launch(const Packet& p, Duration delay) {
-  if (enter_delay_line(p, delay)) arm_delivery();
-}
-
-bool Link::enter_delay_line(const Packet& p, Duration delay) {
-  const InFlight e{(sim_.now() + delay).nanos(), sim_.reserve_fifo_tickets(1),
-                   downstream_, p};
+  const std::int64_t at = (sim_.now() + delay).nanos();
+  const std::uint64_t ticket = sim_.reserve_fifo_tickets(1);
   // Without jitter every delay is the same, so the entry is the latest and
   // this is an append. Jitter can place it earlier: insertion-sort it back
   // by (at, ticket). Its ticket is the newest, so it stays behind entries
   // with the same time.
+  if (drops_hop_local_ && !p.transit) {
+    RingBuffer<Simulator::EventKey>& line = entry_.local;
+    const Simulator::EventKey key = Simulator::event_key(TimePoint::from_nanos(at), ticket);
+    line.push_back(key);
+    std::size_t i = line.size() - 1;
+    for (; i > 0 && key < line[i - 1]; --i) line[i] = line[i - 1];
+    line[i] = key;
+    return;
+  }
+  const InFlight e{at, ticket, downstream_, p};
   delay_line_.push_back(e);
   std::size_t i = delay_line_.size() - 1;
-  for (; i > 0 && e.at < delay_line_[i - 1].at; --i) {
-    delay_line_[i] = delay_line_[i - 1];
-  }
+  for (; i > 0 && e.at < delay_line_[i - 1].at; --i) delay_line_[i] = delay_line_[i - 1];
   if (i + 1 < delay_line_.size()) delay_line_[i] = e;
-  // A new front needs the timer re-armed (by the caller); the key armed
-  // for the old front goes stale and is skipped without counting as an
-  // event.
-  return i == 0;
-}
-
-void Link::arm_delivery() {
-  const InFlight& front = delay_line_.front();
-  delivery_timer_.schedule_at(TimePoint::from_nanos(front.at), front.ticket);
+  if (i == 0) entry_.delivery = Simulator::event_key(TimePoint::from_nanos(e.at), e.ticket);
 }
 
 void Link::deliver_head() {
-  // Copy the entry out and re-arm before delivering: the receiver may hand
-  // a packet straight back to this link, which can grow the delay line and
-  // must find the timer armed for the current front.
+  // Copy the entry out and move the key to the next front before
+  // delivering: the receiver may hand a packet straight back to this link,
+  // which can grow the delay line.
   const InFlight head = delay_line_.front();
   delay_line_.pop_front();
-  if (!delay_line_.empty()) arm_delivery();
+  entry_.delivery = delay_line_.empty()
+                        ? Simulator::kNoEvent
+                        : Simulator::event_key(TimePoint::from_nanos(delay_line_.front().at),
+                                               delay_line_.front().ticket);
+  sim_.refresh(entry_);
   head.target->handle(head.pkt);
-}
-
-bool Link::holds_only_local(const PacketHandler* junction) const {
-  if (fluid_mode_ || impair_rng_ != nullptr || downstream_ != junction) return false;
-  if (busy_ && in_service_.transit) return false;
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    if (queue_[i].transit) return false;
-  }
-  for (std::size_t i = 0; i < delay_line_.size(); ++i) {
-    const InFlight& e = delay_line_[i];
-    if (e.pkt.transit || e.target != junction) return false;
-  }
-  return true;
-}
-
-std::size_t Link::armed_timers() const {
-  return (service_timer_.pending() ? 1 : 0) + (delivery_timer_.pending() ? 1 : 0);
-}
-
-void Link::hold_timers() {
-  service_timer_.cancel();
-  delivery_timer_.cancel();
-}
-
-void Link::rearm_timers() {
-  if (busy_) arm_service();
-  if (!delay_line_.empty()) arm_delivery();
-}
-
-std::uint64_t Link::retire_deliveries(std::int64_t upto) {
-  std::uint64_t n = 0;
-  while (!delay_line_.empty() && delay_line_.front().at <= upto) {
-    delay_line_.pop_front();
-    ++n;
-  }
-  return n;
 }
 
 std::uint64_t Link::drops_for_flow(std::uint32_t flow) const {
@@ -307,7 +271,7 @@ Duration Link::backlog_delay() const {
   // Residual service of the in-flight packet is not tracked exactly; the
   // upper bound (full serialization) is fine for tests and diagnostics.
   DataSize backlog = queued_bytes_;
-  if (busy_) backlog += in_service_.size();
+  if (busy()) backlog += in_service_.size();
   return capacity_.transmission_time(backlog);
 }
 

@@ -52,9 +52,14 @@ struct LinkImpairments {
 /// the link's propagation delay before being delivered downstream.
 ///
 /// Packets in propagation wait in the link's delay line (docs/ENGINE.md):
-/// a time-ordered buffer served by one re-armed timer, so a packet in
-/// flight costs no closure and no allocation. Destroying the link discards
-/// them.
+/// a time-ordered buffer whose front is one key of the link's entry in the
+/// Simulator, so a packet in flight costs no closure and no allocation.
+/// Destroying the link discards them.
+///
+/// The link schedules through its Simulator::LinkEntry, registered when the
+/// link is built: the emissions of the renewal sources attached to it, the
+/// end of the packet it serializes and its delay line's front. No event of
+/// a link goes through the calendar queue.
 class Link final : public PacketHandler {
  public:
   Link(Simulator& sim, std::string name, Rate capacity, Duration prop_delay,
@@ -63,8 +68,13 @@ class Link final : public PacketHandler {
 
   /// Downstream receiver of everything this link forwards (not owned).
   /// A packet already in flight still reaches the receiver that was set
-  /// when it left the link.
-  void set_downstream(PacketHandler* downstream) { downstream_ = downstream; }
+  /// when it left the link. A receiver that discards hop-local packets
+  /// (`drops_hop_local`, a Path's junction) is not handed them: their
+  /// deliveries still count as events, and run nothing.
+  void set_downstream(PacketHandler* downstream, bool drops_hop_local = false) {
+    downstream_ = downstream;
+    drops_hop_local_ = drops_hop_local;
+  }
 
   /// Packet arrival at the tail of the queue (drop-tail if over buffer).
   void handle(const Packet& p) override;
@@ -125,9 +135,9 @@ class Link final : public PacketHandler {
   /// Bytes currently queued, excluding the packet being serialized.
   DataSize queued_bytes() const { return queued_bytes_; }
   std::size_t queue_length() const { return queue_.size(); }
-  bool busy() const { return busy_; }
+  bool busy() const { return entry_.service != Simulator::kNoEvent; }
   /// Packets in propagation towards the downstream receiver.
-  std::size_t in_flight() const { return delay_line_.size(); }
+  std::size_t in_flight() const { return delay_line_.size() + entry_.local.size(); }
 
   /// Cumulative bytes fully serialized onto the wire (utilization counter —
   /// the quantity an MRTG-style monitor reads, Eq. (2)). In fluid mode this
@@ -156,8 +166,8 @@ class Link final : public PacketHandler {
   Duration backlog_delay() const;
 
   /// The renewal sources that feed this link, in the order they attached
-  /// (CrossTrafficSource's Link& constructor). Path's cross-traffic
-  /// run-ahead drives them; a source detaches when it is destroyed.
+  /// (CrossTrafficSource's Link& constructor); their emissions are
+  /// scheduled in the link's entry. A source detaches when it is destroyed.
   const std::vector<CrossTrafficSource*>& sources() const { return sources_; }
 
   Link(const Link&) = delete;
@@ -172,44 +182,22 @@ class Link final : public PacketHandler {
   void settle_fluid();
   void settle_fluid_at(TimePoint now);
 
-  // Packet service is split into state changes and timer arms, so the
-  // timer callbacks and Path's cross-traffic run-ahead, which holds the
-  // timers while it runs, share one definition of the link's semantics.
-  // Each state change reserves the FIFO ticket of the event it makes
-  // pending at the moment the timer arm used to take it; the arm is then
-  // free to happen later with that ticket.
-
-  /// Packet-mode arrival: drop-tail, queue, or start serializing. True if
-  /// service started, so its completion (service_at_, service_ticket_) is
-  /// newly pending.
-  bool enqueue(const Packet& p);
-  void start_service();
+  // The events of the link's entry, fired by Simulator::fire_entry. Each
+  // state change sets the entry's key, with a ticket reserved at the point
+  // a timer arm would take it, and the caller refreshes the entry.
+  friend class Simulator;
+  /// The earliest attached source emits into the link.
+  void emit();
   /// The end of a serialization: account the packet, put it in the delay
-  /// line, start the next one. True if the packet is the delay line's new
-  /// front, so its delivery is newly pending.
-  bool complete_service();
-  void finish_service();  // service_timer_'s callback
-  /// Put a packet in the delay line; true if it is the new front.
-  bool enter_delay_line(const Packet& p, Duration delay);
+  /// line, start the next one.
+  void finish_service();
+  void deliver_head();
+  void start_service();
+  /// Put a packet in the delay line; a new front becomes the entry's
+  /// delivery key.
   void launch(const Packet& p, Duration delay);
-  void deliver_head();  // delivery_timer_'s callback
-  void arm_service();
-  void arm_delivery();
 
-  // Path's cross-traffic run-ahead (Path::run_cross_traffic_until).
-  friend class Path;
-  /// True if the link serves packets, unimpaired, into `junction`, and
-  /// every packet it holds (in service, queued, in flight) is hop-local
-  /// and bound for `junction`.
-  bool holds_only_local(const PacketHandler* junction) const;
-  std::size_t armed_timers() const;
-  void hold_timers();
-  void rearm_timers();
-  /// Pop the delay line's entries due by `upto` without handing them on,
-  /// returning how many. Only for receivers that discard them.
-  std::uint64_t retire_deliveries(std::int64_t upto);
-
-  friend class CrossTrafficSource;  // attaches to sources_
+  friend class CrossTrafficSource;  // attaches to sources_ and entry_
 
   Simulator& sim_;
   std::string name_;
@@ -218,14 +206,7 @@ class Link final : public PacketHandler {
   DataSize buffer_limit_;
 
   RingBuffer<Packet> queue_;
-  Packet in_service_{};
-  // End-of-serialization is one reusable timer re-armed per packet: the
-  // per-packet drain event costs no closure construction and no allocation.
-  // While busy_, the pending completion is (service_at_, service_ticket_).
-  Simulator::TimerHandle service_timer_;
-  bool busy_{false};
-  TimePoint service_at_{};
-  std::uint64_t service_ticket_{0};
+  Packet in_service_{};  // valid while busy()
   DataSize queued_bytes_{};
 
   // Fluid-mode state (engine v2). fluid_work_secs_ is the FIFO virtual
@@ -243,14 +224,16 @@ class Link final : public PacketHandler {
   TimePoint fluid_last_{};
 
   PacketHandler* downstream_{nullptr};
+  bool drops_hop_local_{false};
 
   // The delay line: packets in propagation, ordered by (at, ticket) with
   // the earliest at the front. Each entry reserves its FIFO ticket when it
   // enters, the moment a per-packet delivery event would have been
-  // scheduled, and binds its receiver then too. delivery_timer_ is armed
-  // for the front entry only, with that entry's own time and ticket, so
-  // deliveries pop in exactly the order, and count exactly the events, that
-  // one scheduled event per packet would.
+  // scheduled, and binds its receiver then too. The front is the entry's
+  // delivery key, so deliveries pop in exactly the order, and count
+  // exactly the events, that one scheduled event per packet would.
+  // Hop-local packets bound for a receiver that drops them keep only their
+  // event's (time, ticket), in the entry's local line.
   struct InFlight {
     std::int64_t at;  // delivery time, ns
     std::uint64_t ticket;
@@ -258,7 +241,6 @@ class Link final : public PacketHandler {
     Packet pkt;
   };
   RingBuffer<InFlight> delay_line_;
-  Simulator::TimerHandle delivery_timer_;
 
   DataSize bytes_forwarded_{};
   std::uint64_t packets_forwarded_{0};
@@ -274,6 +256,7 @@ class Link final : public PacketHandler {
   std::unordered_map<std::uint32_t, std::uint64_t> flow_dups_;
 
   std::vector<CrossTrafficSource*> sources_;
+  Simulator::LinkEntry entry_;
 };
 
 }  // namespace pathload::sim

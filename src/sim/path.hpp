@@ -105,27 +105,11 @@ class Path {
   /// serialization at every hop with empty queues.
   Duration unloaded_transit_time(DataSize size) const;
 
-  /// Advance the simulation to `t` exactly as Simulator::run_until(t)
-  /// would, when nothing but the path's hop-local renewal cross traffic
-  /// is pending; otherwise change nothing and return false.
-  ///
-  /// Precondition: every pending event belongs to a link of this path or
-  /// to a CrossTrafficSource attached to one (Link::sources()); every link
-  /// serves packets, unimpaired, into its own junction; and no packet the
-  /// links hold is a transit packet. Then the links are independent, and
-  /// one merged loop runs the sources' emissions and the links' service
-  /// completions in the global (time, ticket) order through the same
-  /// Link and source code the timers run, drawing tickets and packet ids
-  /// at the same points. Deliveries to the junctions run nothing; they are
-  /// counted. Every event is accounted through Simulator::fast_forward,
-  /// and each timer is re-armed at `t` with its pending (time, ticket).
-  /// docs/ENGINE.md, "Cross-traffic run-ahead", gives the argument.
-  bool run_cross_traffic_until(TimePoint t);
-
  private:
   /// Routes transit packets from link i to link i+1 (or egress), hands
   /// segment flows that end at hop i to the hop's exit demux, and absorbs
-  /// exiting hop-local cross traffic.
+  /// exiting hop-local cross traffic (link i does not even hand it over:
+  /// Link::set_downstream's `drops_hop_local`).
   class Junction final : public PacketHandler {
    public:
     Junction(std::uint32_t hop, PacketHandler* next_for_transit)
@@ -146,36 +130,9 @@ class Path {
     FlowDemux exits_;
   };
 
-  /// An event's (time, ticket) as one integer: time in the high half, so
-  /// integer order is the queue's order.
-  using EventKey = unsigned __int128;
-  static EventKey event_key(TimePoint at, std::uint64_t ticket) {
-    return (static_cast<EventKey>(static_cast<std::uint64_t>(at.nanos())) << 64) | ticket;
-  }
-  /// A source's pending emission in the run-ahead, keyed inline so the
-  /// heap orders without touching the sources.
-  struct Emission {
-    EventKey key;
-    CrossTrafficSource* source;
-  };
-  /// One link's pending events in the run-ahead: its sources' emissions as
-  /// a min-heap in heap_[begin, end), and its earliest event.
-  struct Lane {
-    EventKey next;  // all ones: nothing pending
-    Link* link;
-    std::size_t begin;
-    std::size_t end;
-    bool service;  // the earliest event is the link's service completion
-  };
-  void update(Lane& lane) const;
-
-  Simulator& sim_;
   std::vector<std::unique_ptr<Link>> links_;
   std::vector<std::unique_ptr<Junction>> junctions_;
   FlowDemux egress_;
-  // Run-ahead working storage, reused from call to call.
-  std::vector<Lane> lanes_;
-  std::vector<Emission> heap_;
 };
 
 }  // namespace pathload::sim

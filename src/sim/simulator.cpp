@@ -5,10 +5,15 @@
 #include <stdexcept>
 #include <string>
 
+#include "sim/link.hpp"
+#include "sim/traffic.hpp"
+
 namespace pathload::sim {
 
-Simulator::Simulator() : buckets_(kBucketCount) {
+Simulator::Simulator() {
   cur_.reserve(64);
+  pool_.reserve(kPoolReserve);
+  entries_.reserve(8);
   noop_.cb = [] {};
   noop_.persistent = true;
 }
@@ -170,7 +175,7 @@ void Simulator::disarm_timer(Slot* slot) {
   if (slot->armed) {
     slot->gen += kGenStep;
     slot->armed = false;
-    // A counted timer's dropped occurrence stays an event (see pop_live).
+    // A counted timer's dropped occurrence stays an event (see peek_next).
     if ((slot->gen & kCountedGen) == 0) --live_;
   }
 }
@@ -188,14 +193,7 @@ void Simulator::release_timer(Slot* slot) {
   free_slot(slot);
 }
 
-void Simulator::admit_to_ring(const Key& k) {
-  const auto slot = static_cast<std::size_t>(k.at >> kBucketShift) & (kBucketCount - 1);
-  buckets_[slot].push_back(k);
-  occupied_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-  ++ring_count_;
-}
-
-void Simulator::admit_to_block(const Key& k) {
+std::uint32_t Simulator::pool_node(const Key& k) {
   std::uint32_t n = pool_free_;
   if (n != kNil) {
     pool_free_ = pool_[n].next;
@@ -205,6 +203,26 @@ void Simulator::admit_to_block(const Key& k) {
     pool_.push_back(k);
   }
   pool_[n].next = kNil;
+  return n;
+}
+
+void Simulator::link_into_bucket(std::uint32_t n) {
+  const auto slot =
+      static_cast<std::size_t>(pool_[n].at >> kBucketShift) & (kBucketCount - 1);
+  std::uint64_t& word = occupied_[slot >> 6];
+  const std::uint64_t bit = std::uint64_t{1} << (slot & 63);
+  if ((word & bit) != 0) {
+    pool_[bucket_tail_[slot]].next = n;
+  } else {
+    bucket_head_[slot] = n;
+    word |= bit;
+  }
+  bucket_tail_[slot] = n;
+  ++ring_count_;
+}
+
+void Simulator::admit_to_block(const Key& k) {
+  const std::uint32_t n = pool_node(k);
   const auto b = static_cast<std::size_t>(k.at >> kBlockShift) & (kBlockCount - 1);
   const std::uint64_t bit = std::uint64_t{1} << b;
   if ((blocks_occupied_ & bit) != 0) {
@@ -232,13 +250,14 @@ void Simulator::promote_block() {
   const auto b = static_cast<std::size_t>(fine_end_ >> kBlockShift) & (kBlockCount - 1);
   const std::uint64_t bit = std::uint64_t{1} << b;
   if ((blocks_occupied_ & bit) != 0) {
-    for (std::uint32_t n = block_head_[b]; n != kNil; n = pool_[n].next) {
-      admit_to_ring(pool_[n]);
+    // Relink each key into its bucket: no key is copied.
+    for (std::uint32_t n = block_head_[b]; n != kNil;) {
+      const std::uint32_t next = pool_[n].next;
+      pool_[n].next = kNil;
+      link_into_bucket(n);
       --coarse_count_;
+      n = next;
     }
-    // Splice the whole list onto the free list.
-    pool_[block_tail_[b]].next = pool_free_;
-    pool_free_ = block_head_[b];
     blocks_occupied_ &= ~bit;
   }
   // The horizon moves with fine_end_: the freed block now stands for the
@@ -293,22 +312,19 @@ bool Simulator::advance_bucket() {
       static_cast<std::int64_t>((next - slot - 1) & (kBucketCount - 1)) + 1;
   cur_start_ += dist * kBucketWidth;
 
-  auto& bucket = buckets_[next];
   occupied_[next >> 6] &= ~(std::uint64_t{1} << (next & 63));
-  if (bucket.size() == 1) {
-    // Dominant case for sparse workloads: skip the swap and sort checks.
-    cur_.push_back(bucket.front());
-    bucket.clear();
-    ring_count_ -= 1;
-  } else {
-    cur_.swap(bucket);
-    ring_count_ -= cur_.size();
-    // Events are overwhelmingly scheduled in chronological order, so the
-    // bucket usually arrives already sorted; checking first skips the sort
-    // for the common case.
-    if (!std::is_sorted(cur_.begin(), cur_.end(), KeyBefore{})) {
-      std::sort(cur_.begin(), cur_.end(), KeyBefore{});
-    }
+  for (std::uint32_t n = bucket_head_[next]; n != kNil; n = pool_[n].next) {
+    cur_.push_back(pool_[n]);
+  }
+  // Splice the whole list onto the free list.
+  pool_[bucket_tail_[next]].next = pool_free_;
+  pool_free_ = bucket_head_[next];
+  ring_count_ -= cur_.size();
+  // Events are overwhelmingly scheduled in chronological order, so the
+  // bucket usually arrives already sorted; checking first skips the sort
+  // for the common case.
+  if (cur_.size() > 1 && !std::is_sorted(cur_.begin(), cur_.end(), KeyBefore{})) {
+    std::sort(cur_.begin(), cur_.end(), KeyBefore{});
   }
 
   // Promote the block the window now covers, if any. The bucket just taken
@@ -316,27 +332,6 @@ bool Simulator::advance_bucket() {
   // it: at most one promotion, landing at ring distance >= 1.
   if (cur_start_ + kWindowSpan - fine_end_ >= kBlockWidth) promote_block();
   return true;
-}
-
-bool Simulator::pop_live(Key& out) {
-  if (live_ == 0) return false;
-  for (;;) {
-    while (cur_head_ == cur_.size()) {
-      if (!advance_bucket()) return false;  // unreachable while live_ > 0
-    }
-    const Key k = cur_[cur_head_++];
-    if (k.slot->gen != k.gen) [[unlikely]] {
-      // Stale: skipped lazily, unless it is a counted timer's -- that is
-      // still an event, one that runs nothing.
-      if ((k.gen & kCountedGen) == 0) continue;
-      --live_;
-      out = Key{k.at, k.seq, &noop_, noop_.gen};
-      return true;
-    }
-    --live_;
-    out = k;
-    return true;
-  }
 }
 
 void Simulator::fire(const Key& k) {
@@ -359,34 +354,212 @@ void Simulator::fire(const Key& k) {
   }
 }
 
-bool Simulator::run_next() {
-  Key k;  // NOLINT(cppcoreguidelines-pro-type-member-init): filled by pop_live
-  if (!pop_live(k)) return false;
+inline Simulator::EventKey Simulator::peek_next(LinkEntry*& entry) {
+  entry = earliest_entry();
+  const EventKey link = entry != nullptr ? entry->next : kNoEvent;
+  for (;;) {
+    if (cur_head_ < cur_.size()) {
+      const Key& k = cur_[cur_head_];
+      // A stale key is skipped lazily, unless it belongs to a counted
+      // timer: that is still an event, one that runs nothing.
+      if (k.slot->gen != k.gen && (k.gen & kCountedGen) == 0) [[unlikely]] {
+        ++cur_head_;
+        continue;
+      }
+      const EventKey key = event_key(TimePoint::from_nanos(k.at), k.seq);
+      if (link < key) return link;
+      entry = nullptr;
+      return key;
+    }
+    // The fast lane is consumed: every other calendar key lies at or past
+    // the next bucket, so a link event before it fires without moving the
+    // window.
+    if (live_ == 0 || link < event_key(TimePoint::from_nanos(cur_start_ + kBucketWidth), 0)) {
+      return link;
+    }
+    advance_bucket();  // finds a key: live_ > 0
+  }
+}
+
+void Simulator::fire_calendar(EventKey key) {
+  settle(key);
+  Key k = cur_[cur_head_++];
+  if (k.slot->gen != k.gen) k = Key{k.at, k.seq, &noop_, noop_.gen};  // counted, stale
+  --live_;
   now_ = TimePoint::from_nanos(k.at);
   ++processed_;
   fire(k);
+}
+
+bool Simulator::fire_next(EventKey limit) {
+  LinkEntry* e = nullptr;
+  const EventKey key = peek_next(e);
+  return key <= limit && fire_at(e, key);
+}
+
+bool Simulator::fire_at(LinkEntry* e, EventKey key) {
+  if (key == kNoEvent) return false;
+  if (e != nullptr) {
+    fire_entry(*e);
+  } else {
+    fire_calendar(key);
+  }
+  return true;
+}
+
+bool Simulator::run_next() {
+  LinkEntry* e = nullptr;
+  const EventKey key = peek_next(e);
+  // The earliest event may be a delivery that runs nothing.
+  LinkEntry* local = nullptr;
+  for (const Registered& r : entries_) {
+    const LinkEntry* l = r.entry;
+    if (!l->local.empty() && l->local.front() < key &&
+        (local == nullptr || l->local.front() < local->local.front())) {
+      local = r.entry;
+    }
+  }
+  if (local == nullptr) return fire_at(e, key);
+  const EventKey at = local->local.front();
+  retire(*local, at + 1);
+  now_ = TimePoint::from_nanos(static_cast<std::int64_t>(at >> 64));
   return true;
 }
 
 void Simulator::run_until(TimePoint t) {
-  const std::int64_t tn = t.nanos();
-  Key k;  // NOLINT(cppcoreguidelines-pro-type-member-init)
-  while (pop_live(k)) {
-    if (k.at > tn) {
-      // Un-pop: the key came off the front of the sorted fast lane.
-      --cur_head_;
-      ++live_;
-      break;
-    }
-    now_ = TimePoint::from_nanos(k.at);
-    ++processed_;
-    fire(k);
+  const EventKey limit = event_key(t, ~std::uint64_t{0});
+  while (fire_next(limit)) {
   }
+  settle(limit);
   if (t > now_) now_ = t;
 }
 
+void Simulator::retire_due(LinkEntry& e, EventKey before) {
+  std::size_t n = 0;
+  while (!e.local.empty() && e.local.front() < before) {
+    e.local.pop_front();
+    ++n;
+  }
+  processed_ += n;
+  link_events_ += n;
+  count_pending(e);
+}
+
+void Simulator::settle(EventKey before) {
+  for (const Registered& r : entries_) retire(*r.entry, before);
+}
+
+Simulator::LinkEntry* Simulator::earliest_entry() {
+  if (rescan_) {
+    rescan_ = false;
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < entries_.size(); ++i) {
+      if (entries_[i].next < entries_[best].next) best = i;
+    }
+    earliest_ = entries_.empty() || entries_[best].next == kNoEvent ? nullptr
+                                                                    : entries_[best].entry;
+  }
+  return earliest_;
+}
+
+void Simulator::fire_entry(LinkEntry& e) {
+  const EventKey key = e.next;
+  now_ = TimePoint::from_nanos(static_cast<std::int64_t>(key >> 64));
+  ++processed_;
+  ++link_events_;
+  switch (e.kind) {
+    case LinkEntry::Kind::kService:
+      retire(e, key);
+      e.link->finish_service();
+      break;
+    case LinkEntry::Kind::kDelivery:
+      settle(key);  // the receiver may observe the count
+      e.link->deliver_head();
+      break;
+    case LinkEntry::Kind::kEmission:
+      if (e.link != nullptr) {
+        retire(e, key);
+        e.link->emit();
+      } else {
+        settle(key);
+        e.emissions.front().source->emit_to_target();
+      }
+      break;
+    case LinkEntry::Kind::kNone:
+      break;
+  }
+}
+
+void Simulator::register_entry(LinkEntry& e) {
+  e.index = entries_.size();
+  entries_.push_back({e.next, &e});
+}
+
+void Simulator::unregister_entry(LinkEntry& e) {
+  entries_[e.index] = entries_.back();
+  entries_[e.index].entry->index = e.index;
+  entries_.pop_back();
+  link_live_ -= e.pending;
+  rescan_ = true;
+}
+
+Simulator::LinkEntry& Simulator::loose_entry() {
+  if (loose_ == nullptr) {
+    loose_ = std::make_unique<LinkEntry>();
+    register_entry(*loose_);
+  }
+  return *loose_;
+}
+
+namespace {
+
+using Emission = Simulator::LinkEntry::Emission;
+
+void sift_down(std::vector<Emission>& h, std::size_t i) {
+  const std::size_t n = h.size();
+  const Emission e = h[i];
+  for (;;) {
+    std::size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && h[child + 1].key < h[child].key) ++child;
+    if (!(h[child].key < e.key)) break;
+    h[i] = h[child];
+    i = child;
+  }
+  h[i] = e;
+}
+
+void sift_up(std::vector<Emission>& h, std::size_t i) {
+  const Emission e = h[i];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!(e.key < h[parent].key)) break;
+    h[i] = h[parent];
+    i = parent;
+  }
+  h[i] = e;
+}
+
+}  // namespace
+
+void Simulator::LinkEntry::push(Emission e) {
+  emissions.push_back(e);
+  sift_up(emissions, emissions.size() - 1);
+}
+
+void Simulator::LinkEntry::remove(const CrossTrafficSource* s) {
+  std::size_t i = 0;
+  while (emissions[i].source != s) ++i;
+  emissions[i] = emissions.back();
+  emissions.pop_back();
+  if (i < emissions.size()) {
+    sift_up(emissions, i);
+    sift_down(emissions, i);
+  }
+}
+
 void Simulator::throw_fast_forward(TimePoint t) const {
-  throw std::logic_error{"Simulator::fast_forward: " + std::to_string(live_) +
+  throw std::logic_error{"Simulator::fast_forward: " + std::to_string(pending_events()) +
                          " events queued, t=" + std::to_string(t.nanos()) +
                          "ns, now=" + std::to_string(now_.nanos()) + "ns"};
 }

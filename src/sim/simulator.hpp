@@ -5,10 +5,14 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/ring_buffer.hpp"
 #include "util/small_function.hpp"
 #include "util/time.hpp"
 
 namespace pathload::sim {
+
+class CrossTrafficSource;
+class Link;
 
 /// Discrete-event simulation engine.
 ///
@@ -63,6 +67,16 @@ namespace pathload::sim {
 /// sorted vector, events all past the horizon turn the overflow heap into
 /// the old binary heap -- but of trivially movable keys instead of fat
 /// closures.
+///
+/// The calendar holds one-shot closures, counted timers, and the timers of
+/// every owner but links and renewal sources. Links and the
+/// CrossTrafficSources feeding them are scheduled outside it, in link
+/// entries (LinkEntry): each link registers one when it is built, holding
+/// its sources' emissions, its service completion and its delay line's
+/// front. run_next and run_until fire whichever comes first by (time,
+/// ticket), the calendar's top key or the earliest link entry, so the
+/// event sequence is the one a timer per link event would give
+/// (docs/ENGINE.md, "Link entries").
 class Simulator {
  public:
   // Sized for the largest capture left: the keyed-batch record closure of
@@ -73,6 +87,15 @@ class Simulator {
   using Callback = SmallFunction<32>;
 
   class TimerHandle;
+  struct LinkEntry;
+
+  /// An event's (time, ticket) as one integer, time in the high half, so
+  /// integer order is the queue's order.
+  using EventKey = unsigned __int128;
+  static constexpr EventKey kNoEvent = ~EventKey{0};
+  static EventKey event_key(TimePoint at, std::uint64_t ticket) {
+    return (static_cast<EventKey>(static_cast<std::uint64_t>(at.nanos())) << 64) | ticket;
+  }
 
   Simulator();
   ~Simulator();
@@ -157,11 +180,12 @@ class Simulator {
   /// scheduling them, and move the clock to `t`, the last of them. Only
   /// valid on a quiescent queue: throws std::logic_error if any occurrence
   /// that would count as an event is queued (pending_events() != 0,
-  /// counted timers' stale keys included), or if `t` is in the past. The
-  /// caller reserves the FIFO tickets the replaced events would have taken
-  /// (reserve_fifo_tickets), so later tie-breaks are unchanged.
+  /// counted timers' stale keys and link entries included), or if `t` is
+  /// in the past. The caller reserves the FIFO tickets the replaced events
+  /// would have taken (reserve_fifo_tickets), so later tie-breaks are
+  /// unchanged.
   void fast_forward(TimePoint t, std::uint64_t n) {
-    if (live_ != 0 || t < now_) [[unlikely]] throw_fast_forward(t);
+    if (pending_events() != 0 || t < now_) [[unlikely]] throw_fast_forward(t);
     now_ = t;
     processed_ += n;
     resolved_ += n;
@@ -172,13 +196,19 @@ class Simulator {
   std::uint64_t events_processed() const { return processed_; }
   /// The closed-form share of events_processed(). Exact and a pure observer.
   std::uint64_t events_resolved() const { return resolved_; }
-  /// Scheduled occurrences that will count as events: the live ones plus a
-  /// counted timer's stale ones.
-  std::size_t pending_events() const { return live_; }
+  /// Scheduled occurrences that will count as events: the calendar's live
+  /// ones plus a counted timer's stale ones, and every link entry's.
+  std::size_t pending_events() const { return live_ + link_live_; }
 
-  /// Keys scheduled into each lane of the queue, counted where each key
-  /// first lands (a later move from heap to second level, or from second
-  /// level to ring, is not counted again). Exact and a pure observer.
+  /// The share of events_processed() fired from link entries: source
+  /// emissions, service completions and deliveries. Exact and a pure
+  /// observer.
+  std::uint64_t link_events() const { return link_events_; }
+
+  /// Keys scheduled into each lane of the calendar queue, counted where
+  /// each key first lands (a later move from heap to second level, or from
+  /// second level to ring, is not counted again). Link entries are not
+  /// lanes: they never enter the calendar. Exact and a pure observer.
   struct LaneInserts {
     std::uint64_t fast{0};
     std::uint64_t ring{0};
@@ -208,6 +238,7 @@ class Simulator {
   static constexpr std::int64_t kHorizonSpan =  // second level, ~1.07 s
       static_cast<std::int64_t>(kBlockCount) * kBlockWidth;
   static constexpr std::size_t kSlabChunk = 256;  // slots per slab block
+  static constexpr std::size_t kPoolReserve = 256;  // keys of ring and second level
   static constexpr std::uint32_t kNil = ~std::uint32_t{0};  // end of a pool list
 
   // Slot generations step by two; bit 0 marks a counted timer's slot. Keys
@@ -234,8 +265,8 @@ class Simulator {
     std::uint64_t seq;  // FIFO tie-break ticket
     Slot* slot;
     std::uint32_t gen;  // matches slot->gen, else the key is stale
-    // Second level only: pool index of the next key in the same block.
-    // Fills the struct's padding, so keys stay 32 bytes.
+    // Ring and second level: pool index of the next key in the same
+    // bucket or block. Fills the struct's padding, so keys stay 32 bytes.
     std::uint32_t next{0};
   };
   struct KeyBefore {
@@ -258,13 +289,40 @@ class Simulator {
            overflow_.empty();
   }
   void insert(Key k);
-  void admit_to_ring(const Key& k);
+  std::uint32_t pool_node(const Key& k);
+  void link_into_bucket(std::uint32_t n);
+  void admit_to_ring(const Key& k) { link_into_bucket(pool_node(k)); }
   void admit_to_block(const Key& k);
   void drain_overflow_into_blocks();
   void promote_block();
-  bool pop_live(Key& out);
-  bool advance_bucket();
+  // Out of line: it runs once per bucket, and inlined it crowds the event
+  // handlers out of the run loops.
+  [[gnu::noinline]] bool advance_bucket();
   void fire(const Key& k);
+  /// The earliest event's key (kNoEvent: none), and its entry (null: the
+  /// calendar's top key).
+  [[gnu::always_inline]] inline EventKey peek_next(LinkEntry*& entry);
+  void fire_calendar(EventKey key);
+  /// Fire the earliest event if its key is <= limit; false if none.
+  bool fire_next(EventKey limit);
+  /// Fire the event peek_next found; false if there is none.
+  bool fire_at(LinkEntry* e, EventKey key);
+
+  // Link entries: the calendar's peer in run_next and run_until.
+  void register_entry(LinkEntry& e);
+  void unregister_entry(LinkEntry& e);
+  // Inlined into every link event: each is a handful of compares.
+  [[gnu::always_inline]] inline void refresh(LinkEntry& e);
+  [[gnu::always_inline]] inline void count_pending(LinkEntry& e);
+  LinkEntry* earliest_entry();
+  void fire_entry(LinkEntry& e);
+  /// Count the entry's local deliveries before `before` as fired events.
+  [[gnu::always_inline]] inline void retire(LinkEntry& e, EventKey before);
+  void retire_due(LinkEntry& e, EventKey before);
+  void settle(EventKey before);
+  LinkEntry& loose_entry();
+  friend class Link;
+  friend class CrossTrafficSource;
 
   // TimerHandle backdoor.
   void arm_timer(Slot* slot, TimePoint t);
@@ -287,15 +345,19 @@ class Simulator {
   std::vector<Key> cur_;  // sorted near-future fast lane
   std::size_t cur_head_{0};
   std::int64_t cur_start_{0};  // bucket-aligned start of the fast lane
-  std::vector<std::vector<Key>> buckets_;  // ring, unsorted
-  std::size_t ring_count_{0};              // keys currently in ring buckets
+  // Ring buckets: like the second level's blocks, singly linked lists in
+  // insertion order through pool_, valid where occupied_ has their bit.
+  std::uint32_t bucket_head_[kBucketCount]{};
+  std::uint32_t bucket_tail_[kBucketCount]{};
+  std::size_t ring_count_{0};  // keys currently in ring buckets
   // Occupancy bitmap over the ring: advancing the window is a couple of
   // countr_zero jumps instead of a linear scan over empty buckets.
   std::uint64_t occupied_[kBucketCount / 64]{};
   // Second level: each block is a singly linked list, in insertion order,
-  // threaded through one pool of keys (Key::next). One growing vector, not
-  // one per block, keeps a short-lived Simulator's allocations and memory
-  // at what the old single heap cost.
+  // threaded through the pool of keys it shares with the ring (Key::next).
+  // One vector, reserved when the Simulator is built, not one per bucket
+  // or block, keeps a short-lived Simulator's allocations and memory at
+  // what the old single heap cost.
   std::int64_t fine_end_{kWindowSpan};  // end of the ring's key range
   std::vector<Key> pool_;
   std::uint32_t pool_free_{kNil};  // free list of pool_ entries
@@ -315,7 +377,109 @@ class Simulator {
   std::uint64_t packet_ids_{0};
   std::uint32_t flow_ids_{0};
   std::uint64_t resolved_{0};  // cold: kept behind the per-event counters
+
+  // Every registered link entry, with a copy of its next key: the scan
+  // for the earliest reads one array.
+  struct Registered {
+    EventKey next;
+    LinkEntry* entry;
+  };
+  std::vector<Registered> entries_;
+  // The entry holding the earliest link event (null: none pending), valid
+  // while rescan_ is false; refresh sets it.
+  LinkEntry* earliest_{nullptr};
+  bool rescan_{false};
+  std::size_t link_live_{0};  // link entries' pending events
+  std::uint64_t link_events_{0};
+  // Sources built on a handler that is not a Link share this entry.
+  std::unique_ptr<LinkEntry> loose_;
 };
+
+/// One link's pending events, scheduled outside the calendar queue: the
+/// emissions of the renewal sources that feed the link, as a min-heap, the
+/// end of the packet it is serializing and its delay line's front. Each
+/// key carries the ticket reserved when the event became pending, the
+/// point where the timer it replaces took its ticket. Link and
+/// CrossTrafficSource edit the keys and then call Simulator::refresh.
+///
+/// Deliveries of hop-local packets to a receiver that drops them (a
+/// Path's junction) run nothing: they wait in `local`, outside `next`.
+/// run_next fires one when it is the earliest event; run_until counts
+/// each one that precedes the event it fires before anything that can
+/// observe the count runs (a calendar event, a delivery handed on, a
+/// source feeding no link), and the rest of the link's own before its
+/// other events.
+struct Simulator::LinkEntry {
+  struct Emission {
+    EventKey key;
+    CrossTrafficSource* source;
+  };
+
+  /// Add `e` to the heap.
+  void push(Emission e);
+  /// Remove `s`'s emission from the heap (it must be there).
+  void remove(const CrossTrafficSource* s);
+  /// Restore the heap after the top's key grew.
+  void sift_top() {
+    const std::size_t n = emissions.size();
+    const Emission top = emissions[0];
+    std::size_t i = 0;
+    for (;;) {
+      std::size_t child = 2 * i + 1;
+      if (child >= n) break;
+      if (child + 1 < n && emissions[child + 1].key < emissions[child].key) ++child;
+      if (!(emissions[child].key < top.key)) break;
+      emissions[i] = emissions[child];
+      i = child;
+    }
+    emissions[i] = top;
+  }
+
+  /// Which of the entry's events `next` is.
+  enum class Kind : std::uint8_t { kNone, kService, kDelivery, kEmission };
+
+  EventKey next{kNoEvent};  // the earliest of the three below
+  EventKey service{kNoEvent};
+  EventKey delivery{kNoEvent};
+  std::vector<Emission> emissions;
+  RingBuffer<EventKey> local;  // ascending
+  Link* link{nullptr};  // null: the sources that feed no link
+  std::size_t pending{0};  // events counted in link_live_
+  std::size_t index{0};    // in Simulator::entries_
+  Kind kind{Kind::kNone};
+};
+
+inline void Simulator::count_pending(LinkEntry& e) {
+  // A delay line is one pending event however many packets it holds, as
+  // the one timer armed for its front was.
+  const std::size_t pending =
+      e.emissions.size() + (e.service != kNoEvent ? 1 : 0) +
+      (e.delivery != kNoEvent || !e.local.empty() ? 1 : 0);
+  link_live_ += pending - e.pending;
+  e.pending = pending;
+}
+
+inline void Simulator::retire(LinkEntry& e, EventKey before) {
+  if (!e.local.empty() && e.local.front() < before) retire_due(e, before);
+}
+
+inline void Simulator::refresh(LinkEntry& e) {
+  EventKey n = e.service;
+  LinkEntry::Kind kind = n != kNoEvent ? LinkEntry::Kind::kService : LinkEntry::Kind::kNone;
+  if (e.delivery < n) {
+    n = e.delivery;
+    kind = LinkEntry::Kind::kDelivery;
+  }
+  if (!e.emissions.empty() && e.emissions.front().key < n) {
+    n = e.emissions.front().key;
+    kind = LinkEntry::Kind::kEmission;
+  }
+  count_pending(e);
+  e.next = n;
+  e.kind = kind;
+  entries_[e.index].next = n;
+  rescan_ = true;
+}
 
 /// A re-armable handle to one scheduled occurrence of a persistent callback.
 ///

@@ -36,14 +36,26 @@ double PacketSizeMix::mean_bytes() const {
 CrossTrafficSource::CrossTrafficSource(Simulator& sim, PacketHandler& target,
                                        Rate mean_rate, Interarrival model,
                                        PacketSizeMix mix, Rng rng, double pareto_alpha)
+    : CrossTrafficSource(sim, target, nullptr, mean_rate, model, std::move(mix), rng,
+                         pareto_alpha) {}
+
+CrossTrafficSource::CrossTrafficSource(Simulator& sim, Link& target, Rate mean_rate,
+                                       Interarrival model, PacketSizeMix mix, Rng rng,
+                                       double pareto_alpha)
+    : CrossTrafficSource(sim, target, &target, mean_rate, model, std::move(mix), rng,
+                         pareto_alpha) {}
+
+CrossTrafficSource::CrossTrafficSource(Simulator& sim, PacketHandler& target, Link* link,
+                                       Rate mean_rate, Interarrival model, PacketSizeMix mix,
+                                       Rng rng, double pareto_alpha)
     : sim_{sim},
       target_{target},
+      link_{link},
       mean_rate_{mean_rate},
       model_{model},
       mix_{std::move(mix)},
       rng_{rng},
-      pareto_alpha_{pareto_alpha},
-      timer_{sim.make_timer([this] { emit_and_reschedule(); })} {
+      pareto_alpha_{pareto_alpha} {
   if (mean_rate <= Rate::zero()) {
     throw std::invalid_argument{"cross traffic rate must be positive"};
   }
@@ -59,18 +71,16 @@ CrossTrafficSource::CrossTrafficSource(Simulator& sim, PacketHandler& target,
   // sequence is bit-identical to calling it.
   pareto_xm_secs_ = mean_gap_secs_ * (pareto_alpha_ - 1.0) / pareto_alpha_;
   pareto_inv_alpha_ = 1.0 / pareto_alpha_;
-}
-
-CrossTrafficSource::CrossTrafficSource(Simulator& sim, Link& target, Rate mean_rate,
-                                       Interarrival model, PacketSizeMix mix, Rng rng,
-                                       double pareto_alpha)
-    : CrossTrafficSource(sim, static_cast<PacketHandler&>(target), mean_rate, model,
-                         std::move(mix), rng, pareto_alpha) {
-  link_ = &target;
-  target.sources_.push_back(this);
+  if (link_ != nullptr) {
+    entry_ = &link_->entry_;
+    link_->sources_.push_back(this);
+  } else {
+    entry_ = &sim.loose_entry();
+  }
 }
 
 CrossTrafficSource::~CrossTrafficSource() {
+  stop();
   if (link_ != nullptr) std::erase(link_->sources_, this);
 }
 
@@ -79,6 +89,27 @@ void CrossTrafficSource::start() {
   running_ = true;
   plan_next();
   arm();
+}
+
+void CrossTrafficSource::stop() {
+  running_ = false;
+  if (!armed_) return;
+  armed_ = false;
+  entry_->remove(this);
+  sim_.refresh(*entry_);
+}
+
+void CrossTrafficSource::arm() {
+  if (entry_ == nullptr) return;
+  entry_->push({Simulator::event_key(next_at_, next_ticket_), this});
+  armed_ = true;
+  sim_.refresh(*entry_);
+}
+
+void CrossTrafficSource::detach() {
+  link_ = nullptr;
+  entry_ = nullptr;
+  armed_ = false;
 }
 
 void CrossTrafficSource::plan_next() {
@@ -100,12 +131,17 @@ Duration CrossTrafficSource::next_interarrival() {
   return Duration::seconds(mean_gap_secs_);
 }
 
-void CrossTrafficSource::emit_and_reschedule() {
-  if (!running_) return;
+void CrossTrafficSource::emit_to_target() {
+  // Off the heap while the packet is handed off, as a fired timer is
+  // disarmed: the handler may observe pending_events(), or stop and start
+  // sources.
+  armed_ = false;
+  entry_->remove(this);
+  sim_.refresh(*entry_);
   const Packet p = make_packet();
   target_.handle(p);
   sent(p);
-  arm();
+  if (running_ && !armed_) arm();
 }
 
 Packet CrossTrafficSource::make_packet() {

@@ -32,7 +32,6 @@
 namespace pathload::sim {
 
 class Link;
-class Path;
 
 /// Interarrival process of a cross-traffic source.
 enum class Interarrival {
@@ -96,8 +95,11 @@ class PacketSizeMix {
 /// (transit = false): they contend for exactly one link and then leave the
 /// path, matching the simulation topology of Fig. 4.
 ///
-/// Built on a Link, the source attaches to it (Link::sources()) until it
-/// is destroyed, so Path's cross-traffic run-ahead can drive it.
+/// The source arms no timer: its pending emission is a key in a
+/// Simulator::LinkEntry. Built on a Link, the source attaches to it
+/// (Link::sources()) until it is destroyed, and its emissions are the
+/// link's; built on another handler, it shares the Simulator's entry for
+/// sources that feed no link.
 class CrossTrafficSource {
  public:
   CrossTrafficSource(Simulator& sim, PacketHandler& target, Rate mean_rate,
@@ -110,10 +112,7 @@ class CrossTrafficSource {
   /// Begin emitting packets (first arrival is one interarrival from now).
   void start();
   /// Stop emitting (in-flight packets are unaffected).
-  void stop() {
-    running_ = false;
-    timer_.cancel();
-  }
+  void stop();
 
   Rate mean_rate() const { return mean_rate_; }
   std::uint64_t packets_sent() const { return packets_sent_; }
@@ -123,25 +122,33 @@ class CrossTrafficSource {
   CrossTrafficSource& operator=(const CrossTrafficSource&) = delete;
 
  private:
-  // An emission is make_packet, the hand-off to the target, then sent. The
-  // timer callback and Path's cross-traffic run-ahead (which hands the
-  // packet to Link::enqueue and holds the timer) share these steps.
-  void emit_and_reschedule();
+  // An emission is make_packet, the hand-off to the target, then sent.
+  // Link::emit runs them for a source on a link, emit_to_target otherwise.
+  /// The emission of a source that feeds no link.
+  void emit_to_target();
   /// The next packet: draws its id and its size.
   Packet make_packet();
   /// Count `p` as sent and plan the next emission.
   void sent(const Packet& p);
   /// Draw the next gap and reserve the FIFO ticket of the next emission.
   void plan_next();
-  void arm() { timer_.schedule_at(next_at_, next_ticket_); }
+  /// Put the planned emission in the entry.
+  void arm();
+  /// The link went first: nothing is scheduled for the source any more.
+  void detach();
   Duration next_interarrival();
 
-  friend class Link;  // clears link_ when the link goes first
-  friend class Path;
+  CrossTrafficSource(Simulator& sim, PacketHandler& target, Link* link, Rate mean_rate,
+                     Interarrival model, PacketSizeMix mix, Rng rng, double pareto_alpha);
+
+  friend class Link;
+  friend class Simulator;
 
   Simulator& sim_;
   PacketHandler& target_;
   Link* link_{nullptr};  // the link attached to, if built on one
+  // Where the pending emission is scheduled; null once the link is gone.
+  Simulator::LinkEntry* entry_{nullptr};
   Rate mean_rate_;
   Interarrival model_;
   PacketSizeMix mix_;
@@ -150,12 +157,10 @@ class CrossTrafficSource {
   double mean_gap_secs_;
   double pareto_xm_secs_{0.0};
   double pareto_inv_alpha_{0.0};
-  // Emission is a single reusable timer re-armed from its own callback:
-  // one packet costs no closure construction and no allocation.
-  Simulator::TimerHandle timer_;
 
   bool running_{false};
-  // The pending emission, while the timer is armed.
+  bool armed_{false};  // the pending emission is in entry_
+  // The planned emission.
   TimePoint next_at_{};
   std::uint64_t next_ticket_{0};
   std::uint64_t packets_sent_{0};

@@ -18,6 +18,7 @@
 #include "scenario/registry.hpp"
 #include "scenario/spec.hpp"
 #include "scenario/sim_channel.hpp"
+#include "tests/integration/referee.hpp"
 #include "util/rng.hpp"
 
 namespace pathload::scenario {
@@ -54,11 +55,10 @@ TEST(EngineDeterminism, PaperPathPathloadRunEventAndForwardCountsPinned) {
   // seed 77, run the way the estimator registry runs it. The counts were
   // captured with one scheduled event per packet delivery, before links had
   // delay lines: they pin that a delay line fires exactly one event per
-  // delivery and forwards every packet. The resolved share is the cross
-  // traffic of the warmup and of the idle gaps between streams, which the
-  // path's run-ahead (sim::Path::run_cross_traffic_until) runs outside the
-  // event queue: the total stays the event-driven count, and a run-ahead
-  // that silently stopped applying would show here.
+  // delivery and forwards every packet. Every event of a v1 session is
+  // fired, none resolved in closed form, and the link entries fire all but
+  // the probe sends and the session's own timers: a link event that went
+  // back through the calendar would show in link_events().
   ScenarioSpec spec = Registry::builtin().at("paper-path");
   spec.seed = 77;
   ScenarioInstance inst{std::move(spec)};
@@ -70,7 +70,8 @@ TEST(EngineDeterminism, PaperPathPathloadRunEventAndForwardCountsPinned) {
   ASSERT_EQ(report.outcome, core::EstimateReport::Outcome::kOk) << report.outcome_note;
 
   EXPECT_EQ(inst.simulator().events_processed(), 577717u);
-  EXPECT_EQ(inst.simulator().events_resolved(), 453475u);
+  EXPECT_EQ(inst.simulator().events_resolved(), 0u);
+  EXPECT_EQ(inst.simulator().link_events(), 574097u);
   ASSERT_EQ(inst.path().hop_count(), 3u);
   EXPECT_EQ(inst.path().link(0).packets_forwarded(), 76852u);
   EXPECT_EQ(inst.path().link(1).packets_forwarded(), 40497u);
@@ -123,6 +124,56 @@ TEST(EngineDeterminism, TcpDuelTeardownCountsPinnedUnderV2PacketTcp) {
   const SessionCounts c = duel_session_counts(std::move(spec));
   EXPECT_EQ(c.events, 25562u);
   EXPECT_EQ(c.forwarded, (std::vector<std::uint64_t>{4820, 10111, 10111}));
+}
+
+/// A `tool` run on fuzz tuning case `index`, as the estimator registry runs
+/// it: its counts, and its estimate's rates bit for bit.
+struct FuzzRun {
+  SessionCounts counts;
+  double low_bps{0.0};
+  double high_bps{0.0};
+};
+
+FuzzRun fuzz_run(int index, const char* tool) {
+  ScenarioSpec spec = referee::fuzz_tuning_spec(index);
+  EXPECT_EQ(spec.engine, EngineVersion::kV1);
+  const std::uint64_t seed = spec.seed;
+  ScenarioInstance inst{std::move(spec)};
+  inst.start();
+  SimProbeChannel channel{inst.simulator(), inst.path()};
+  const auto est = baselines::builtin_estimators().make(tool);
+  Rng rng{seed};
+  const core::EstimateReport report = core::run_guarded(*est, channel, rng);
+  EXPECT_EQ(report.outcome, core::EstimateReport::Outcome::kOk) << report.outcome_note;
+  FuzzRun run{{inst.simulator().events_processed(), {}},
+              report.low.bits_per_sec(),
+              report.high.bits_per_sec()};
+  for (std::size_t i = 0; i < inst.path().hop_count(); ++i) {
+    run.counts.forwarded.push_back(inst.path().link(i).packets_forwarded());
+  }
+  return run;
+}
+
+TEST(EngineDeterminism, FuzzTuningCasesPathloadAndBtcCountsPinned) {
+  // Fuzz tuning cases 3 (a v1 TCP flow) and 4 (on/off and ramp
+  // neighbours), whose btc runs are most of a fuzz-mixed pass. Captured
+  // with every link event and source emission a timer of its own.
+  const FuzzRun p3 = fuzz_run(3, "pathload");
+  EXPECT_EQ(p3.counts.events, 1275305u);
+  EXPECT_EQ(p3.counts.forwarded, (std::vector<std::uint64_t>{81547, 274038, 72191}));
+  EXPECT_EQ(p3.high_bps, 0x1.ac3b014cc968bp+20);
+  const FuzzRun b3 = fuzz_run(3, "btc");
+  EXPECT_EQ(b3.counts.events, 9635394u);
+  EXPECT_EQ(b3.counts.forwarded, (std::vector<std::uint64_t>{610427, 2020403, 614352}));
+  EXPECT_EQ(b3.low_bps, 0x1.babe3bbbbbbbcp+21);
+  const FuzzRun p4 = fuzz_run(4, "pathload");
+  EXPECT_EQ(p4.counts.events, 739267u);
+  EXPECT_EQ(p4.counts.forwarded, (std::vector<std::uint64_t>{136216, 39984, 73453}));
+  EXPECT_EQ(p4.high_bps, 0x1.0cfc479ce8db3p+22);
+  const FuzzRun b4 = fuzz_run(4, "btc");
+  EXPECT_EQ(b4.counts.events, 6389086u);
+  EXPECT_EQ(b4.counts.forwarded, (std::vector<std::uint64_t>{1143033, 393419, 633872}));
+  EXPECT_EQ(b4.low_bps, 0x1.1c15088888889p+22);
 }
 
 TEST(EngineDeterminism, RepeatedRunsAreRunToRunIdentical) {

@@ -58,9 +58,9 @@ TEST(EngineV2Determinism, BtcOnTcpBgGreedyLaneCountsPinned) {
   // fire and count, as counted no-ops); the lane counts pin where the keys
   // land, so a change that sends far keys back through the overflow heap
   // shows here. The single-level queue pushed 53518 keys onto its heap on
-  // this run. Links and the receiver's ACK line arm a key only when an
-  // entry reaches the front of their delay line, so those keys land mostly
-  // in the ring; the RTO re-arms are what the second level still holds.
+  // this run. Link events never enter the calendar (link entries); the
+  // receiver's ACK line arms a key only when an entry reaches the front of
+  // its delay line, and the RTO re-arms are what the second level holds.
   ScenarioSpec spec = v2_preset("tcp-bg-greedy");
   spec.seed = 77;
   ScenarioInstance inst{std::move(spec)};
@@ -74,10 +74,10 @@ TEST(EngineV2Determinism, BtcOnTcpBgGreedyLaneCountsPinned) {
   const sim::Simulator& sim = inst.simulator();
   EXPECT_EQ(sim.events_processed(), 89978u);
   const sim::Simulator::LaneInserts& lanes = sim.lane_inserts();
-  EXPECT_EQ(lanes.fast, 13u);
-  EXPECT_EQ(lanes.ring, 71516u);
-  EXPECT_EQ(lanes.coarse, 15002u);
-  EXPECT_EQ(lanes.heap, 3525u);
+  EXPECT_EQ(lanes.fast, 1722u);
+  EXPECT_EQ(lanes.ring, 16065u);
+  EXPECT_EQ(lanes.coarse, 13971u);
+  EXPECT_EQ(lanes.heap, 3521u);
 }
 
 TEST(EngineV2Determinism, BatchedMatchesUnbatchedByteIdentical) {

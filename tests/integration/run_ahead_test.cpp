@@ -1,194 +1,115 @@
-// Referee for the cross-traffic run-ahead (sim::Path::run_cross_traffic_until).
+// Referee for the link entries (sim::Simulator::LinkEntry), which schedule
+// every link and renewal-source event outside the calendar queue.
 //
-// Twin instances of one spec: one advances through the run-ahead, the other
-// through Simulator::run_until. The clock, the event, packet-id and ticket
-// counters, the pending events and every link and source counter must
-// agree exactly, and so must a pathload session run on each afterwards
-// (the reference twin idles through the event queue). A run-ahead that
-// declines must leave the state exactly as an untouched twin has it.
+// run_ahead_table.inc holds what the timer-driven engine produced, one
+// timer per link event and per source, for the procedures of referee.hpp:
+// the clock, the event, packet-id and ticket counters, the pending events
+// and every link and source counter after each step, and each pathload
+// session's report with its rates as hex floats. Every renewal-only v1
+// preset at two loads and three seeds, a spec whose sources tie to the
+// nanosecond, an aggregate added to a running path, TCP, on/off, ramp,
+// impaired, fluid and RTT-prober neighbours, a transit packet at each
+// position on the path, and fuzz tuning cases 3 and 4 must replay the
+// table bit for bit. The suites keep the names of the cross-traffic
+// run-ahead's referee, whose twin comparisons the table records.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
-#include <memory>
+#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "baselines/estimators.hpp"
-#include "core/estimator.hpp"
-#include "scenario/registry.hpp"
-#include "scenario/sim_channel.hpp"
-#include "scenario/spec.hpp"
-#include "sim/packet.hpp"
-#include "sim/path.hpp"
-#include "sim/rtt_probe.hpp"
-#include "sim/traffic.hpp"
-#include "util/rng.hpp"
+#include "tests/integration/referee.hpp"
 
 namespace pathload::scenario {
 namespace {
 
-using Snapshot = std::vector<std::pair<std::string, std::int64_t>>;
+struct SnapshotRow {
+  const char* key;
+  std::vector<std::int64_t> values;
+};
 
-/// Everything the run-ahead must reproduce. Drawing the next packet id
-/// consumes one, so compare twins that have both been snapshot equally.
-Snapshot snapshot(ScenarioInstance& inst) {
-  sim::Simulator& sim = inst.simulator();
-  Snapshot s;
-  const auto put = [&s](std::string name, std::uint64_t v) {
-    s.emplace_back(std::move(name), static_cast<std::int64_t>(v));
-  };
-  put("now_ns", static_cast<std::uint64_t>(sim.now().nanos()));
-  put("events", sim.events_processed());
-  put("next_packet_id", sim.next_packet_id());
-  put("next_ticket", sim.reserve_fifo_tickets(0));
-  put("pending_events", sim.pending_events());
-  for (std::size_t i = 0; i < inst.path().hop_count(); ++i) {
-    const sim::Link& l = inst.path().link(i);
-    const std::string hop = "link" + std::to_string(i) + ".";
-    put(hop + "packets_forwarded", l.packets_forwarded());
-    put(hop + "bytes_forwarded", static_cast<std::uint64_t>(l.bytes_forwarded().byte_count()));
-    put(hop + "drops", l.drops());
-    put(hop + "queue_length", l.queue_length());
-    put(hop + "queued_bytes", static_cast<std::uint64_t>(l.queued_bytes().byte_count()));
-    put(hop + "busy", l.busy() ? 1 : 0);
-    put(hop + "in_flight", l.in_flight());
-    for (std::size_t k = 0; k < l.sources().size(); ++k) {
-      const sim::CrossTrafficSource& src = *l.sources()[k];
-      const std::string name = hop + "source" + std::to_string(k) + ".";
-      put(name + "packets_sent", src.packets_sent());
-      put(name + "bytes_sent", static_cast<std::uint64_t>(src.bytes_sent().byte_count()));
+struct ReportRow {
+  const char* key;
+  referee::Report report;
+};
+
+#include "tests/integration/run_ahead_table.inc"
+
+/// Compares every observation with the table's row of the same key.
+class TableSink final : public referee::Sink {
+ public:
+  TableSink() {
+    for (const SnapshotRow& row : kSnapshots) snapshots_[row.key] = &row;
+    for (const ReportRow& row : kReports) reports_[row.key] = &row;
+  }
+
+  void snapshot(const std::string& key, ScenarioInstance& inst) override {
+    ++checked_;
+    const auto it = snapshots_.find(key);
+    ASSERT_NE(it, snapshots_.end()) << "no table row " << key;
+    const std::vector<std::int64_t>& want = it->second->values;
+    const referee::Snapshot got = referee::snapshot(inst);
+    ASSERT_EQ(got.size(), want.size()) << key;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].second, want[i]) << key << ": " << got[i].first;
     }
   }
-  return s;
-}
 
-void expect_same(const Snapshot& got, const Snapshot& want, const std::string& where) {
-  ASSERT_EQ(got.size(), want.size()) << where;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i].first, want[i].first) << where;
-    EXPECT_EQ(got[i].second, want[i].second) << where << ": " << got[i].first;
+  void report(const std::string& key, const referee::Report& got) override {
+    ++checked_;
+    const auto it = reports_.find(key);
+    ASSERT_NE(it, reports_.end()) << "no table row " << key;
+    const referee::Report& want = it->second->report;
+    EXPECT_EQ(got.outcome, want.outcome) << key;
+    EXPECT_TRUE(referee::same_bits(got.low_bps, want.low_bps))
+        << key << ": low " << got.low_bps << " vs " << want.low_bps;
+    EXPECT_TRUE(referee::same_bits(got.high_bps, want.high_bps))
+        << key << ": high " << got.high_bps << " vs " << want.high_bps;
+    EXPECT_EQ(got.elapsed_ns, want.elapsed_ns) << key;
+    EXPECT_EQ(got.packets_sent, want.packets_sent) << key;
+    EXPECT_EQ(got.packets_lost, want.packets_lost) << key;
+    EXPECT_EQ(got.iterations, want.iterations) << key;
   }
-}
 
-std::string hex(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
-}
-
-/// The reference twin's channel: streams as SimProbeChannel runs them, idle
-/// gaps through the event queue.
-class EventQueueIdle final : public core::ProbeChannel {
- public:
-  EventQueueIdle(SimProbeChannel& inner, sim::Simulator& sim) : inner_{inner}, sim_{sim} {}
-  core::StreamOutcome run_stream(const core::StreamSpec& spec) override {
-    return inner_.run_stream(spec);
-  }
-  void idle(Duration d) override { sim_.run_for(d); }
-  TimePoint now() override { return inner_.now(); }
-  Duration rtt() const override { return inner_.rtt(); }
+  int checked() const { return checked_; }
 
  private:
-  SimProbeChannel& inner_;
-  sim::Simulator& sim_;
+  std::map<std::string, const SnapshotRow*> snapshots_;
+  std::map<std::string, const ReportRow*> reports_;
+  int checked_{0};
 };
-
-/// Twins of `spec` with the warmup taken out of start(), so the test
-/// chooses how each twin spends it.
-struct Twins {
-  explicit Twins(ScenarioSpec spec) : warmup{spec.warmup} {
-    spec.warmup = Duration::zero();
-    fast = std::make_unique<ScenarioInstance>(spec);
-    ref = std::make_unique<ScenarioInstance>(std::move(spec));
-    fast->start();
-    ref->start();
-  }
-  Duration warmup;
-  std::unique_ptr<ScenarioInstance> fast;
-  std::unique_ptr<ScenarioInstance> ref;
-};
-
-/// Advance both twins by `d`, the fast one through the run-ahead.
-void advance(Twins& t, Duration d, const std::string& where) {
-  sim::Simulator& fs = t.fast->simulator();
-  const std::uint64_t resolved = fs.events_resolved();
-  ASSERT_TRUE(t.fast->path().run_cross_traffic_until(fs.now() + d)) << where;
-  EXPECT_GT(fs.events_resolved(), resolved) << where << ": the run-ahead resolved nothing";
-  t.ref->simulator().run_until(t.ref->simulator().now() + d);
-  expect_same(snapshot(*t.fast), snapshot(*t.ref), where);
-}
-
-/// A pathload session on each twin; the reports must agree bit for bit.
-void expect_same_session(Twins& t, std::uint64_t seed, const std::string& where) {
-  const auto est = baselines::builtin_estimators().make("pathload");
-  SimProbeChannel fast_channel{t.fast->simulator(), t.fast->path()};
-  SimProbeChannel ref_inner{t.ref->simulator(), t.ref->path()};
-  EventQueueIdle ref_channel{ref_inner, t.ref->simulator()};
-  Rng fast_rng{seed};
-  Rng ref_rng{seed};
-  const std::uint64_t resolved = t.fast->simulator().events_resolved();
-  const core::EstimateReport a = core::run_guarded(*est, fast_channel, fast_rng);
-  const core::EstimateReport b = core::run_guarded(*est, ref_channel, ref_rng);
-  EXPECT_GT(t.fast->simulator().events_resolved(), resolved)
-      << where << ": no idle gap took the run-ahead";
-  EXPECT_EQ(a.outcome, b.outcome) << where;
-  EXPECT_EQ(hex(a.low.bits_per_sec()), hex(b.low.bits_per_sec())) << where;
-  EXPECT_EQ(hex(a.high.bits_per_sec()), hex(b.high.bits_per_sec())) << where;
-  EXPECT_EQ(a.elapsed.nanos(), b.elapsed.nanos()) << where;
-  EXPECT_EQ(a.packets_sent, b.packets_sent) << where;
-  EXPECT_EQ(a.packets_lost, b.packets_lost) << where;
-  EXPECT_EQ(a.iterations.size(), b.iterations.size()) << where;
-  expect_same(snapshot(*t.fast), snapshot(*t.ref), where + " after the session");
-}
-
-bool renewal_only(const ScenarioSpec& spec) {
-  if (spec.engine != EngineVersion::kV1 || !spec.flows.empty() || spec.impaired()) {
-    return false;
-  }
-  for (const HopDecl& hop : spec.hops) {
-    if (hop.traffic.model == TrafficModel::kOnOff || hop.traffic.model == TrafficModel::kRamp) {
-      return false;
-    }
-  }
-  return true;
-}
-
-std::vector<std::string> renewal_presets() {
-  std::vector<std::string> names;
-  for (const ScenarioSpec& spec : Registry::builtin().entries()) {
-    if (renewal_only(spec)) names.push_back(spec.name);
-  }
-  return names;
-}
 
 TEST(RunAhead, CoversThePaperPresets) {
-  const std::vector<std::string> names = renewal_presets();
+  const std::vector<std::string> names = referee::renewal_presets();
   for (const char* want : {"paper-path", "paper-path-poisson", "hetero-5hop"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), want), names.end()) << want;
+  }
+  // Every renewal preset has its rows: three per load and seed.
+  for (const std::string& preset : names) {
+    int rows = 0;
+    for (const SnapshotRow& row : kSnapshots) {
+      rows += std::string{row.key}.starts_with(preset + " load ") ? 1 : 0;
+    }
+    for (const ReportRow& row : kReports) {
+      rows += std::string{row.key}.starts_with(preset + " load ") ? 1 : 0;
+    }
+    EXPECT_EQ(rows, 2 * 3 * 3) << preset;
   }
 }
 
 class RunAheadPreset : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(RunAheadPreset, MatchesRunUntilAcrossLoadsAndSeeds) {
-  for (const double load : {0.2, 0.9}) {
-    for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
-      ScenarioSpec spec = Registry::builtin().at(GetParam()).with_load(load);
-      spec.seed = seed;
-      const std::string where =
-          GetParam() + " load " + std::to_string(load) + " seed " + std::to_string(seed);
-      Twins t{std::move(spec)};
-      advance(t, t.warmup, where + " warmup");
-      expect_same_session(t, seed, where);
-    }
-  }
+  TableSink sink;
+  referee::preset_cases(sink, GetParam());
+  EXPECT_EQ(sink.checked(), 2 * 3 * 3);
 }
 
-INSTANTIATE_TEST_SUITE_P(Registry, RunAheadPreset, ::testing::ValuesIn(renewal_presets()),
+INSTANTIATE_TEST_SUITE_P(Registry, RunAheadPreset,
+                         ::testing::ValuesIn(referee::renewal_presets()),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            std::string name = info.param;
                            for (char& c : name) {
@@ -198,153 +119,47 @@ INSTANTIATE_TEST_SUITE_P(Registry, RunAheadPreset, ::testing::ValuesIn(renewal_p
                          });
 
 TEST(RunAhead, EqualRateConstantSourcesTieAndTicketsDecide) {
-  // Three hops of one capacity and load, three constant sources each: all
-  // nine sources emit at the same nanoseconds, on every hop, so only the
-  // tickets order the emissions and the ids they draw.
-  const ScenarioSpec base = ScenarioSpec::parse(R"(name = ties
-warmup_s = 0.5
-hops = 3
-hop.0.capacity_mbps = 10
-hop.0.delay_ms = 5
-hop.0.traffic.model = constant
-hop.0.traffic.utilization = 0.5
-hop.0.traffic.sources = 3
-hop.1.capacity_mbps = 10
-hop.1.delay_ms = 5
-hop.1.traffic.model = constant
-hop.1.traffic.utilization = 0.5
-hop.1.traffic.sources = 3
-hop.2.capacity_mbps = 10
-hop.2.delay_ms = 5
-hop.2.traffic.model = constant
-hop.2.traffic.utilization = 0.5
-hop.2.traffic.sources = 3
-)");
-  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
-    ScenarioSpec spec = base;
-    spec.seed = seed;
-    Twins t{std::move(spec)};
-    const std::string where = "seed " + std::to_string(seed);
-    advance(t, t.warmup, where);
-    // End run-aheads on event instants, the tied emissions' among them: the
-    // reference twin fires its next event, then the rest of that instant.
-    for (int step = 0; step < 40; ++step) {
-      sim::Simulator& rs = t.ref->simulator();
-      ASSERT_TRUE(rs.run_next());
-      const TimePoint at = rs.now();
-      rs.run_until(at);
-      ASSERT_TRUE(t.fast->path().run_cross_traffic_until(at));
-      expect_same(snapshot(*t.fast), snapshot(*t.ref), where + " step " + std::to_string(step));
-    }
-    expect_same_session(t, seed, where);
-  }
+  // All nine sources emit at the same nanoseconds on every hop: only the
+  // tickets order the emissions and the ids they draw, within each link
+  // entry and across them.
+  TableSink sink;
+  referee::tied_cases(sink);
+  EXPECT_EQ(sink.checked(), 3 * 3 + 40);
 }
 
 TEST(RunAhead, SecondAggregateOnTheTightLink) {
-  // An aggregate added to a running path (tracker_sim_test's shape) attaches
-  // to its link, and the run-ahead drives it with the preset's sources.
-  ScenarioSpec spec = Registry::builtin().at("paper-path");
-  spec.seed = 5;
-  Twins t{std::move(spec)};
-  advance(t, t.warmup, "warmup");
-  const auto extra = [](ScenarioInstance& inst) {
-    return std::make_unique<sim::TrafficAggregate>(
-        inst.simulator(), inst.tight_link(), Rate::mbps(2), 10, sim::Interarrival::kExponential,
-        sim::PacketSizeMix::paper_mix(), Rng{77});
-  };
-  auto fast_extra = extra(*t.fast);
-  auto ref_extra = extra(*t.ref);
-  fast_extra->start();
-  ref_extra->start();
-  EXPECT_EQ(t.fast->tight_link().sources().size(), 20u);
-  advance(t, Duration::seconds(1), "second aggregate");
-  expect_same_session(t, 5, "second aggregate");
-}
-
-/// Build twins, let `disturb` change both the same way (what it returns
-/// lives until the twins are checked), then require the run-ahead on one
-/// to decline and leave it exactly as the other.
-template <typename Disturb>
-void expect_declines(ScenarioSpec spec, Disturb&& disturb, const std::string& where) {
-  Twins t{std::move(spec)};
-  const auto fast_held = disturb(*t.fast);
-  const auto ref_held = disturb(*t.ref);
-  sim::Simulator& fs = t.fast->simulator();
-  EXPECT_FALSE(t.fast->path().run_cross_traffic_until(fs.now() + Duration::seconds(1)))
-      << where;
-  EXPECT_EQ(fs.events_resolved(), 0u) << where;
-  expect_same(snapshot(*t.fast), snapshot(*t.ref), where);
+  // An aggregate added to a running path attaches to its link, and its
+  // sources join the link's entry beside the preset's.
+  TableSink sink;
+  referee::second_aggregate_case(sink);
+  EXPECT_EQ(sink.checked(), 3);
 }
 
 TEST(RunAheadDeclines, EachReasonLeavesTheStateUntouched) {
-  const auto nothing = [](ScenarioInstance&) { return std::shared_ptr<void>{}; };
-  const auto preset = [](const char* name) {
-    ScenarioSpec spec = Registry::builtin().at(name);
-    spec.engine = EngineVersion::kV1;
-    spec.seed = 9;
-    return spec;
-  };
-  expect_declines(preset("tcp-bg-greedy"), nothing, "a TCP flow");
-  expect_declines(preset("bursty-tight"), nothing, "on/off traffic");
-  expect_declines(preset("load-step"), nothing, "a ramp");
-  expect_declines(preset("lossy-tight"), nothing, "an impaired hop");
-  ScenarioSpec v2 = preset("paper-path");
-  v2.engine = EngineVersion::kV2;
-  expect_declines(v2, nothing, "fluid links");
-
-  // A foreign pending event: an RTT prober's next ping.
-  expect_declines(
-      preset("paper-path"),
-      [](ScenarioInstance& inst) {
-        auto prober = std::make_shared<sim::RttProber>(inst.simulator(), inst.path(),
-                                                       Duration::milliseconds(100),
-                                                       Duration::milliseconds(20));
-        prober->start();
-        inst.simulator().run_for(Duration::milliseconds(250));
-        return std::shared_ptr<void>{prober};
-      },
-      "an RTT prober");
+  // What the run-ahead declined on runs through the link entries like the
+  // rest: a TCP flow, on/off and ramp neighbours, an impaired hop, the
+  // delay lines of fluid links, and an RTT prober's pings.
+  TableSink sink;
+  referee::mixed_cases(sink);
+  EXPECT_EQ(sink.checked(), 6 * 3);
 }
 
 TEST(RunAheadDeclines, TransitPacketAnywhereOnThePath) {
-  // A transit packet with no receiver: wherever it sits (queued or in
-  // service at a hop, or in a delay line) the run-ahead declines, and once
-  // it has left the path the run-ahead runs again.
-  ScenarioSpec spec = Registry::builtin().at("paper-path");
-  spec.seed = 4;
-  Twins t{std::move(spec)};
-  advance(t, t.warmup, "warmup");
-  const auto inject = [](ScenarioInstance& inst) {
-    sim::Packet p;
-    p.id = inst.simulator().next_packet_id();
-    p.flow = 4242;
-    p.kind = sim::PacketKind::kProbe;
-    p.size_bytes = 1000;
-    p.transit = true;
-    p.entered = inst.simulator().now();
-    inst.path().ingress().handle(p);
-  };
-  inject(*t.fast);
-  inject(*t.ref);
-  const Duration transit = t.fast->path().unloaded_transit_time(DataSize::bytes(1000));
-  for (int step = 0; step < 8; ++step) {
-    const std::string where = "step " + std::to_string(step);
-    sim::Simulator& fs = t.fast->simulator();
-    const std::uint64_t resolved = fs.events_resolved();
-    EXPECT_FALSE(t.fast->path().run_cross_traffic_until(fs.now() + transit)) << where;
-    EXPECT_EQ(fs.events_resolved(), resolved) << where;
-    expect_same(snapshot(*t.fast), snapshot(*t.ref), where);
-    // Move both twins on by a fraction of the unloaded transit time.
-    const Duration d = transit / 8.0;
-    fs.run_for(d);
-    t.ref->simulator().run_for(d);
+  // A transit packet queued, in service or in a delay line, then gone.
+  TableSink sink;
+  referee::transit_packet_case(sink);
+  EXPECT_EQ(sink.checked(), 10);
+}
+
+TEST(RunAhead, FuzzTuningCasesThreeAndFour) {
+  // Case 3 carries a v1 TCP flow, case 4 on/off and ramp neighbours.
+  for (const int index : {3, 4}) {
+    const ScenarioSpec spec = referee::fuzz_tuning_spec(index);
+    EXPECT_EQ(spec.engine, EngineVersion::kV1) << index;
   }
-  // Queues at 60% load can hold the packet for a while: run until it is out.
-  sim::Simulator& fs = t.fast->simulator();
-  fs.run_for(Duration::seconds(1));
-  t.ref->simulator().run_for(Duration::seconds(1));
-  EXPECT_EQ(t.fast->path().egress().unclaimed_packets(), 1u);
-  advance(t, Duration::milliseconds(500), "after the transit packet left");
+  TableSink sink;
+  referee::fuzz_cases(sink);
+  EXPECT_EQ(sink.checked(), 2 * 3);
 }
 
 }  // namespace

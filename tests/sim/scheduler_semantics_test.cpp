@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -18,7 +19,9 @@
 #include <utility>
 #include <vector>
 
+#include "sim/link.hpp"
 #include "sim/simulator.hpp"
+#include "sim/traffic.hpp"
 
 namespace pathload::sim {
 namespace {
@@ -211,6 +214,14 @@ class ReferenceHeap {
     push(Ev{at, ++seq_, tag, timer, ++tm.gen});
     ++live_;
   }
+  /// Arm with a reserved ticket (see reserve).
+  void arm_ticket(std::size_t timer, std::int64_t at, std::uint64_t ticket, int tag) {
+    Timer& tm = timer_at(timer);
+    if (tm.armed) --live_;
+    tm.armed = true;
+    push(Ev{at, ticket, tag, timer, ++tm.gen});
+    ++live_;
+  }
   void arm_counted(std::size_t timer, std::int64_t at, int tag) {
     if (counted_.size() <= timer) counted_.resize(timer + 1);
     push(Ev{at, ++seq_, tag, timer, ++counted_[timer], true});
@@ -228,8 +239,11 @@ class ReferenceHeap {
       --live_;
     }
   }
-  /// Reserve `n` FIFO tickets without scheduling anything.
-  void reserve(std::uint64_t n) { seq_ += n; }
+  /// Reserve `n` FIFO tickets without scheduling anything; the first.
+  std::uint64_t reserve(std::uint64_t n) {
+    seq_ += n;
+    return seq_ - n + 1;
+  }
   /// One reserved ticket block, entry i taking ticket base + i.
   void batch(const std::vector<std::int64_t>& ats, int first_tag) {
     const std::uint64_t base = seq_ + 1;
@@ -367,9 +381,21 @@ TEST(SchedulerSemantics, ReplayMatchesReferenceHeapOrder) {
 // Differential test of the whole scheduling surface against ReferenceHeap:
 // one-shot events, timer re-arm and cancel, counted-timer re-arm and
 // release, schedule_batch (including entries at `now` while the queue is
-// non-empty), run_until slices that un-pop a key and advance the clock
-// across idle gaps, and (optionally) fast_forward on a quiescent queue. Gaps cover every lane: the current bucket, the ring,
-// the second level, and past the horizon out to ~20 s.
+// non-empty), run_until slices that stop short of a key and advance the
+// clock across idle gaps, and (optionally) fast_forward on a quiescent
+// queue. Gaps cover every lane: the current bucket, the ring, the second
+// level, and past the horizon out to ~20 s.
+//
+// With link owners, two Links and their constant-rate CrossTrafficSources,
+// plus a source feeding a handler that is no link, schedule through link
+// entries beside the calendar: sources started (armed) and stopped
+// (cancelled), re-armed by every emission, packets injected into a link,
+// deliveries handed on and deliveries that run nothing, single run_next
+// steps, and emissions, service ends and deliveries tied to the
+// nanosecond with each other and with calendar keys. The reference models
+// them the way the engine ran them before link entries: a timer per
+// source, per link service and per delay-line front, armed with the
+// ticket reserved where the link or source reserves it.
 
 /// The queue operations of an OpStream, over the engine or the reference.
 class Backend {
@@ -388,6 +414,14 @@ class Backend {
   virtual void fast_forward(std::int64_t t, std::uint64_t n) = 0;
   virtual std::size_t pending() const = 0;
   virtual std::uint64_t processed() const = 0;
+  // Link owners.
+  /// A transit packet with id `id` into link `link`, now.
+  virtual void inject(std::size_t link, int id) = 0;
+  /// Start a stopped source, stop a running one.
+  virtual void toggle(std::size_t source) = 0;
+  virtual void stop_sources() = 0;
+  /// One run_next.
+  virtual void step() = 0;
 };
 
 constexpr std::size_t kDiffTimers = 6;
@@ -396,6 +430,33 @@ constexpr int kTimerTag = -1000;    // timer i fires with tag kTimerTag - i
 constexpr int kCountedTag = -2000;  // counted timer i: tag kCountedTag - i
 constexpr int kSliceMark = -1;      // trace entry: a run_until slice ended
 constexpr int kForwardMark = -2;    // trace entry: a fast_forward ended
+constexpr int kStepMark = -4;       // trace entry: a run_next returned
+constexpr int kLooseTag = -3000;    // the source that feeds no link emitted
+constexpr int kDeliverTag = -100000;  // link l handed on packet id: - 10000 l - id
+
+// Link owners: link 0 hands everything on after 300 us of propagation;
+// link 1 has none, and drops hop-local packets (a Path's junction), so
+// their deliveries run nothing and tie with the service end. Sources send
+// 1000 B packets at constant rates; 8 Mb/s links serialize them in 1 ms.
+constexpr std::size_t kDiffLinks = 2;
+constexpr std::int64_t kLinkProp[kDiffLinks] = {300'000, 0};
+constexpr double kSourceMbps[] = {4.0, 2.0, 4.0, 2.0, 8.0 / 3.0};  // last: no link
+constexpr std::size_t kDiffSources = 5;
+constexpr std::int32_t kCrossBytes = 1000;
+constexpr std::int32_t kTransitBytes = 500;
+
+Rate link_rate() { return Rate::mbps(8); }
+/// Source i's link; kDiffLinks for the one that feeds no link.
+std::size_t source_link(std::size_t i) { return i / 2; }
+/// The gap a constant source draws, as CrossTrafficSource computes it.
+std::int64_t source_gap(std::size_t i) {
+  return Duration::seconds(PacketSizeMix::fixed(kCrossBytes).mean_bytes() * 8.0 /
+                           Rate::mbps(kSourceMbps[i]).bits_per_sec())
+      .nanos();
+}
+int deliver_tag(std::size_t link, int id) {
+  return kDeliverTag - 10000 * static_cast<int>(link) - id;
+}
 
 /// One trace entry: the clock, the tag that fired, and the events processed
 /// so far -- which also counts the counted timers' no-op events before it.
@@ -406,8 +467,8 @@ using TraceEntry = std::tuple<std::int64_t, int, std::uint64_t>;
 /// backends that pop the same order receive the same operations.
 class OpStream {
  public:
-  OpStream(std::uint64_t seed, int budget, bool fast_forwards = false)
-      : lcg_{seed}, budget_{budget}, fast_forwards_{fast_forwards} {}
+  OpStream(std::uint64_t seed, int budget, bool fast_forwards = false, bool links = false)
+      : lcg_{seed}, budget_{budget}, fast_forwards_{fast_forwards}, links_{links} {}
 
   void attach(Backend& q) { q_ = &q; }
   const std::vector<TraceEntry>& trace() const { return trace_; }
@@ -437,7 +498,15 @@ class OpStream {
   /// One slice: an outside operation, then run_until over a gap of any
   /// lane's size (long ones drain the queue and idle the clock).
   bool slice() {
+    if (links_ && next_tag_ >= budget_) q_->stop_sources();
     if (next_tag_ >= budget_ && q_->pending() == 0) return false;
+    if (links_ && draw() % 3 == 0) {
+      // Single events: run_next fires one, also one that runs nothing.
+      for (int n = 1 + static_cast<int>(draw() % 5); n > 0; --n) {
+        q_->step();
+        trace_.emplace_back(q_->now(), kStepMark, q_->processed());
+      }
+    }
     if (fast_forwards_ && draw() % 4 == 0) {
       // Let every chain end, then resolve a burst on the quiescent queue as
       // SimProbeChannel does. Re-armed plain timers may leave stale keys.
@@ -466,6 +535,14 @@ class OpStream {
   void act() {
     if (quiet_ || next_tag_ >= budget_) return;
     const std::int64_t now = q_->now();
+    if (links_ && draw() % 4 == 0) {
+      if (draw() % 3 != 0) {
+        q_->inject(static_cast<std::size_t>(draw() % kDiffLinks), next_tag_++);
+      } else {
+        q_->toggle(static_cast<std::size_t>(draw() % kDiffSources));
+      }
+      return;
+    }
     const std::uint64_t r = draw();
     switch (r % 14) {
       case 0:
@@ -512,6 +589,7 @@ class OpStream {
   std::uint64_t lcg_;
   int budget_;
   bool fast_forwards_;
+  bool links_;
   bool quiet_{false};  // chains end instead of scheduling their successor
   int next_tag_{0};
   std::vector<TraceEntry> trace_;
@@ -519,7 +597,11 @@ class OpStream {
 
 class ReferenceBackend final : public Backend {
  public:
-  explicit ReferenceBackend(OpStream& d) : ops_{d} {}
+  explicit ReferenceBackend(OpStream& d, bool links = false) : ops_{d} {
+    if (links) {
+      for (std::size_t i = 0; i < kDiffSources; ++i) toggle(i);
+    }
+  }
   std::int64_t now() const override { return now_; }
   void schedule_at(std::int64_t at, int tag) override { ref_.schedule_at(at, tag); }
   void arm(std::size_t timer, std::int64_t at) override {
@@ -537,11 +619,7 @@ class ReferenceBackend final : public Backend {
     int tag = 0;
     while (ref_.run_next(now_, tag, t)) {
       ++processed_;
-      if (tag == ReferenceHeap::kNoopTag) {
-        ++noops_;
-      } else {
-        ops_.on_fire(tag);
-      }
+      dispatch(tag);
     }
     now_ = std::max(now_, t);
   }
@@ -554,22 +632,172 @@ class ReferenceBackend final : public Backend {
   std::uint64_t processed() const override { return processed_; }
   std::uint64_t noops() const { return noops_; }
 
+  void inject(std::size_t link, int id) override { accept(link, Pkt{true, id, kTransitBytes}); }
+  void toggle(std::size_t i) override {
+    if (running_[i]) {
+      running_[i] = false;
+      ref_.cancel(kSourceTimer + i);
+    } else {
+      running_[i] = true;
+      plan(i);
+    }
+  }
+  void stop_sources() override {
+    for (std::size_t i = 0; i < kDiffSources; ++i) {
+      if (running_[i]) toggle(i);
+    }
+  }
+  void step() override {
+    int tag = 0;
+    if (ref_.run_next(now_, tag)) {
+      ++processed_;
+      dispatch(tag);
+    }
+  }
+
  private:
+  // Timer ids and tags of the link owners' timers.
+  static constexpr std::size_t kServiceTimer = 100;
+  static constexpr std::size_t kDeliveryTimer = 110;
+  static constexpr std::size_t kSourceTimer = 120;
+  static constexpr int kServiceTag = -5000;
+  static constexpr int kDeliveryTag = -6000;
+  static constexpr int kSourceTag = -7000;
+
+  struct Pkt {
+    bool transit;
+    int id;
+    std::int32_t bytes;
+  };
+  struct InFlight {
+    std::int64_t at;
+    std::uint64_t ticket;
+    Pkt pkt;
+  };
+  struct RefLink {
+    bool busy{false};
+    Pkt in_service{};
+    std::deque<Pkt> queue;
+    std::deque<InFlight> line;  // by (at, ticket)
+  };
+
+  void dispatch(int tag) {
+    if (tag == ReferenceHeap::kNoopTag) {
+      ++noops_;
+    } else if (tag <= kSourceTag && tag > kSourceTag - 100) {
+      emit(static_cast<std::size_t>(kSourceTag - tag));
+    } else if (tag <= kDeliveryTag && tag > kDeliveryTag - 100) {
+      deliver(static_cast<std::size_t>(kDeliveryTag - tag));
+    } else if (tag <= kServiceTag && tag > kServiceTag - 100) {
+      finish_service(static_cast<std::size_t>(kServiceTag - tag));
+    } else {
+      ops_.on_fire(tag);
+    }
+  }
+  void accept(std::size_t l, const Pkt& p) {
+    RefLink& link = links_[l];
+    if (link.busy) {
+      link.queue.push_back(p);
+      return;
+    }
+    link.in_service = p;
+    start_service(l);
+  }
+  void start_service(std::size_t l) {
+    RefLink& link = links_[l];
+    link.busy = true;
+    const std::int64_t at =
+        now_ + link_rate().transmission_time(DataSize::bytes(link.in_service.bytes)).nanos();
+    ref_.arm_ticket(kServiceTimer + l, at, ref_.reserve(1), kServiceTag - static_cast<int>(l));
+  }
+  void finish_service(std::size_t l) {
+    RefLink& link = links_[l];
+    // Propagation: into the delay line, whose front the delivery timer holds.
+    const InFlight e{now_ + kLinkProp[l], ref_.reserve(1), link.in_service};
+    auto pos = link.line.end();
+    while (pos != link.line.begin() && e.at < std::prev(pos)->at) --pos;
+    const bool front = pos == link.line.begin();
+    link.line.insert(pos, e);
+    if (front) arm_delivery(l);
+    if (!link.queue.empty()) {
+      link.in_service = link.queue.front();
+      link.queue.pop_front();
+      start_service(l);
+    } else {
+      link.busy = false;
+    }
+  }
+  void arm_delivery(std::size_t l) {
+    const InFlight& f = links_[l].line.front();
+    ref_.arm_ticket(kDeliveryTimer + l, f.at, f.ticket, kDeliveryTag - static_cast<int>(l));
+  }
+  void deliver(std::size_t l) {
+    RefLink& link = links_[l];
+    const InFlight head = link.line.front();
+    link.line.pop_front();
+    if (!link.line.empty()) arm_delivery(l);
+    if (l == 1 && !head.pkt.transit) return;  // dropped by its receiver
+    ops_.on_fire(deliver_tag(l, head.pkt.id));
+  }
+  void plan(std::size_t i) {
+    ref_.arm_ticket(kSourceTimer + i, now_ + source_gap(i), ref_.reserve(1),
+                    kSourceTag - static_cast<int>(i));
+  }
+  void emit(std::size_t i) {
+    const std::size_t l = source_link(i);
+    if (l < kDiffLinks) {
+      accept(l, Pkt{false, 0, kCrossBytes});
+      plan(i);
+      return;
+    }
+    // The handler may stop or start the source; the next gap's ticket is
+    // reserved either way.
+    ops_.on_fire(kLooseTag);
+    const std::uint64_t ticket = ref_.reserve(1);
+    if (running_[i]) {
+      ref_.arm_ticket(kSourceTimer + i, now_ + source_gap(i), ticket,
+                      kSourceTag - static_cast<int>(i));
+    }
+  }
+
   OpStream& ops_;
   ReferenceHeap ref_;
   std::int64_t now_{0};
   std::uint64_t processed_{0};
   std::uint64_t noops_{0};
+  RefLink links_[kDiffLinks];
+  bool running_[kDiffSources]{};
 };
 
 class EngineBackend final : public Backend {
  public:
-  explicit EngineBackend(OpStream& d) : ops_{d} {
+  explicit EngineBackend(OpStream& d, bool links = false) : ops_{d} {
     for (std::size_t i = 0; i < kDiffTimers; ++i) {
       const int tag = kTimerTag - static_cast<int>(i);
       timers_.push_back(sim_.make_timer([this, tag] { ops_.on_fire(tag); }));
     }
     for (std::size_t i = 0; i < kDiffCounted; ++i) counted_.push_back(make_counted(i));
+    if (!links) return;
+    for (std::size_t l = 0; l < kDiffLinks; ++l) {
+      receivers_[l] = Receiver{&ops_, l};
+      links_.push_back(std::make_unique<Link>(sim_, "l" + std::to_string(l), link_rate(),
+                                              Duration::nanoseconds(kLinkProp[l]),
+                                              DataSize::bytes(1'000'000)));
+      links_.back()->set_downstream(&receivers_[l], /*drops_hop_local=*/l == 1);
+    }
+    loose_receiver_ = Receiver{&ops_, kDiffLinks};
+    for (std::size_t i = 0; i < kDiffSources; ++i) {
+      const std::size_t l = source_link(i);
+      const Rate rate = Rate::mbps(kSourceMbps[i]);
+      const PacketSizeMix mix = PacketSizeMix::fixed(kCrossBytes);
+      sources_.push_back(
+          l < kDiffLinks
+              ? std::make_unique<CrossTrafficSource>(sim_, *links_[l], rate,
+                                                     Interarrival::kConstant, mix, Rng{i})
+              : std::make_unique<CrossTrafficSource>(sim_, loose_receiver_, rate,
+                                                     Interarrival::kConstant, mix, Rng{i}));
+      toggle(i);
+    }
   }
   std::int64_t now() const override { return sim_.now().nanos(); }
   void schedule_at(std::int64_t at, int tag) override {
@@ -601,29 +829,75 @@ class EngineBackend final : public Backend {
   std::uint64_t processed() const override { return sim_.events_processed(); }
   const Simulator& sim() const { return sim_; }
 
+  void inject(std::size_t link, int id) override {
+    Packet p;
+    p.flow = 1;
+    p.kind = PacketKind::kProbe;
+    p.size_bytes = kTransitBytes;
+    p.transit = true;
+    p.seq = static_cast<std::uint32_t>(id);
+    links_[link]->handle(p);
+  }
+  void toggle(std::size_t i) override {
+    running_[i] = !running_[i];
+    if (running_[i]) {
+      sources_[i]->start();
+    } else {
+      sources_[i]->stop();
+    }
+  }
+  void stop_sources() override {
+    for (std::size_t i = 0; i < sources_.size(); ++i) {
+      if (running_[i]) toggle(i);
+    }
+  }
+  void step() override { sim_.run_next(); }
+
  private:
   Simulator::TimerHandle make_counted(std::size_t timer) {
     const int tag = kCountedTag - static_cast<int>(timer);
     return sim_.make_counted_timer([this, tag] { ops_.on_fire(tag); });
   }
 
+  /// Traces what a link hands it (or, as kDiffLinks, the loose source's
+  /// emissions).
+  struct Receiver final : PacketHandler {
+    Receiver() = default;
+    Receiver(OpStream* o, std::size_t l) : ops{o}, link{l} {}
+    Receiver& operator=(const Receiver& r) {
+      ops = r.ops;
+      link = r.link;
+      return *this;
+    }
+    void handle(const Packet& p) override {
+      ops->on_fire(link < kDiffLinks ? deliver_tag(link, static_cast<int>(p.seq)) : kLooseTag);
+    }
+    OpStream* ops{nullptr};
+    std::size_t link{0};
+  };
+
   OpStream& ops_;
-  Simulator sim_;  // declared before the handles it must outlive
+  Simulator sim_;  // declared before the handles, links and sources
   std::vector<Simulator::TimerHandle> timers_;
   std::vector<Simulator::TimerHandle> counted_;
+  Receiver receivers_[kDiffLinks];
+  Receiver loose_receiver_;
+  std::vector<std::unique_ptr<Link>> links_;
+  std::vector<std::unique_ptr<CrossTrafficSource>> sources_;
+  bool running_[kDiffSources]{};
 };
 
-void expect_matches_reference(bool fast_forwards) {
+void expect_matches_reference(bool fast_forwards, bool links = false) {
   constexpr int kBudget = 4000;  // one-shot events per seed
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
-    OpStream ref_ops{seed, kBudget, fast_forwards};
-    ReferenceBackend ref{ref_ops};
+    OpStream ref_ops{seed, kBudget, fast_forwards, links};
+    ReferenceBackend ref{ref_ops, links};
     ref_ops.attach(ref);
     while (ref_ops.slice()) {
     }
 
-    OpStream ops{seed, kBudget, fast_forwards};
-    EngineBackend engine{ops};
+    OpStream ops{seed, kBudget, fast_forwards, links};
+    EngineBackend engine{ops, links};
     ops.attach(engine);
     while (ops.slice()) {
     }
@@ -644,6 +918,17 @@ void expect_matches_reference(bool fast_forwards) {
     EXPECT_GT(lanes.ring, 0u) << "seed " << seed;
     EXPECT_GT(lanes.coarse, 0u) << "seed " << seed;
     EXPECT_GT(lanes.heap, 0u) << "seed " << seed;
+    if (links) {
+      // Link entries fired events, among them deliveries that ran nothing
+      // and deliveries tied with a calendar key.
+      EXPECT_GT(engine.sim().link_events(), 0u) << "seed " << seed;
+      const auto has = [&got](int tag) {
+        return std::any_of(got.begin(), got.end(),
+                           [tag](const TraceEntry& e) { return std::get<1>(e) == tag; });
+      };
+      EXPECT_TRUE(has(kLooseTag)) << "seed " << seed;
+      EXPECT_TRUE(has(deliver_tag(0, 0))) << "seed " << seed;
+    }
     if (fast_forwards) {
       EXPECT_GT(engine.sim().events_resolved(), 0u) << "seed " << seed;
       const bool forwarded = std::any_of(got.begin(), got.end(), [](const TraceEntry& e) {
@@ -656,6 +941,10 @@ void expect_matches_reference(bool fast_forwards) {
 
 TEST(SchedulerSemantics, DifferentialAgainstReferenceHeapAcrossLanes) {
   expect_matches_reference(false);
+}
+
+TEST(SchedulerSemantics, LinkEntriesDifferentialAgainstReferenceHeap) {
+  expect_matches_reference(false, /*links=*/true);
 }
 
 TEST(SchedulerSemantics, FastForwardDifferentialAgainstReferenceHeap) {

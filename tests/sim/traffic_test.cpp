@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "sim/link.hpp"
 #include "sim/simulator.hpp"
 #include "sim/traffic.hpp"
 #include "util/stats.hpp"
@@ -65,6 +68,59 @@ INSTANTIATE_TEST_SUITE_P(AllModels, CrossTrafficRateTest,
                          ::testing::Values(Interarrival::kExponential,
                                            Interarrival::kPareto,
                                            Interarrival::kConstant));
+
+TEST(CrossTrafficSource, HandlerStoppingItsSourceEndsEmission) {
+  // A source that feeds no link is off its entry while it hands a packet
+  // over, as a fired timer was disarmed: the handler sees it not pending
+  // and may stop it, and the source then stays stopped.
+  Simulator sim;
+  struct Stopper final : PacketHandler {
+    void handle(const Packet&) override {
+      ++count;
+      pending_seen = sim->pending_events();
+      if (count == 3) src->stop();
+    }
+    Simulator* sim{nullptr};
+    CrossTrafficSource* src{nullptr};
+    int count{0};
+    std::size_t pending_seen{99};
+  } stopper;
+  CrossTrafficSource src{sim,    stopper, Rate::mbps(8), Interarrival::kConstant,
+                         PacketSizeMix::fixed(1000), Rng{1}};
+  stopper.sim = &sim;
+  stopper.src = &src;
+  src.start();
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run_for(Duration::seconds(1));
+  EXPECT_EQ(stopper.count, 3);
+  EXPECT_EQ(stopper.pending_seen, 0u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.link_events(), 3u);
+}
+
+TEST(CrossTrafficSource, LinkDestroyedFirstDropsItsSourcesEvents) {
+  // The sources' pending emissions live in the link's entry: destroying
+  // the link drops them, with its service and delivery events, and the
+  // sources outlive it harmlessly.
+  Simulator sim;
+  Sink sink;
+  auto link = std::make_unique<Link>(sim, "l", Rate::mbps(10), Duration::milliseconds(5),
+                                     DataSize::bytes(1'000'000));
+  link->set_downstream(&sink);
+  TrafficAggregate agg{sim,  *link, Rate::mbps(6), 4, Interarrival::kExponential,
+                       PacketSizeMix::paper_mix(), Rng{9}};
+  agg.start();
+  sim.run_for(Duration::milliseconds(100));
+  EXPECT_GE(sim.pending_events(), 4u);
+  link.reset();
+  EXPECT_EQ(sim.pending_events(), 0u);
+  const std::uint64_t events = sim.events_processed();
+  sim.run_for(Duration::milliseconds(100));
+  EXPECT_EQ(sim.events_processed(), events);
+  agg.stop();
+  agg.start();  // nothing to schedule into
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
 
 TEST(CrossTrafficSource, StopHaltsEmission) {
   Simulator sim;
