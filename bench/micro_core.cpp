@@ -254,11 +254,15 @@ void BM_SimSecondsPerSec(benchmark::State& state) {
 BENCHMARK(BM_SimSecondsPerSec)->Arg(0)->Arg(1);
 
 void BM_IdleGapSecond(benchmark::State& state) {
-  // One simulated second of an idle gap between probe streams on paper-path
-  // under v1 (3 hops, 10 Pareto sources each), after the warmup, as the
-  // probe channel's idle() runs it: every event fires from a link entry.
-  // Items are events.
-  scenario::ScenarioSpec spec = scenario::Registry::builtin().at("paper-path");
+  // One simulated second of an idle gap between probe streams under v1,
+  // after the warmup, as the probe channel's idle() runs it: run_until
+  // runs each link alone and ranks its tickets and packet ids back into the
+  // global order (docs/ENGINE.md, "Decoupled links"). Arg 0: paper-path
+  // (3 hops, 10 Pareto sources each). Arg 1: lossy-tight, whose tight link
+  // draws its random loss inside its own run. Items are events.
+  scenario::ScenarioSpec spec =
+      scenario::Registry::builtin().at(state.range(0) == 0 ? "paper-path" : "lossy-tight");
+  spec.engine = scenario::EngineVersion::kV1;
   scenario::ScenarioInstance inst{spec};
   inst.start();
   sim::Simulator& sim = inst.simulator();
@@ -269,7 +273,7 @@ void BM_IdleGapSecond(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(sim.events_processed() - events0));
 }
-BENCHMARK(BM_IdleGapSecond);
+BENCHMARK(BM_IdleGapSecond)->Arg(0)->Arg(1);
 
 // One v2 pathload session built as the perfbench workloads build it, with
 // the channel capped at `fastest`. `events` receives the Simulator's count.

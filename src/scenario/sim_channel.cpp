@@ -171,9 +171,7 @@ void SimProbeChannel::run_stream_batched() {
   }
   batch_pending_ = batch.size();
   sim_.schedule_batch(std::move(batch));
-  while (batch_pending_ > 0) {
-    if (!sim_.run_next()) break;  // unreachable: pending events are queued
-  }
+  sim_.run_while([this] { return batch_pending_ > 0; });
 }
 
 sim::Packet SimProbeChannel::probe_packet(const core::StreamSpec& spec) const {
@@ -213,17 +211,16 @@ void SimProbeChannel::run_event_driven(const core::StreamSpec& spec, bool impair
   // an impaired path the accounting includes link-made duplicates — every
   // copy created (original K plus dups so far) ends as either a record or
   // a per-flow drop, so the loop still terminates exactly. Cross-traffic
-  // sources always have future events pending, so the guard against an
-  // empty queue is purely defensive. The per-flow sums cost a hash lookup
-  // per hop, so they are re-read only when a link total moved (every
-  // per-flow drop or duplicate also counts in its link's total).
+  // sources always have future events pending; run_while also stops on an
+  // empty queue. The per-flow sums cost a hash lookup per hop, so they are
+  // re-read only when a link total moved (every per-flow drop or duplicate
+  // also counts in its link's total).
   const auto target = static_cast<std::uint64_t>(spec.packet_count);
   std::uint64_t link_drops = path_drops();
   std::uint64_t link_dups = impaired ? path_dups() : 0;
   std::uint64_t drops = 0;  // this flow's, since the stream started
   std::uint64_t dups = 0;
-  while (static_cast<std::uint64_t>(records_.size()) + drops < target + dups) {
-    if (!sim_.run_next()) break;
+  sim_.run_while([&] {
     if (const std::uint64_t d = path_drops(); d != link_drops) {
       link_drops = d;
       drops = probe_drops() - drops_before;
@@ -234,7 +231,8 @@ void SimProbeChannel::run_event_driven(const core::StreamSpec& spec, bool impair
         dups = probe_dups() - dups_before;
       }
     }
-  }
+    return static_cast<std::uint64_t>(records_.size()) + drops < target + dups;
+  });
   send_timer_.cancel();  // defensive: only armed if the loop exited early
   spec_ = nullptr;
 }

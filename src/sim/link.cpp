@@ -79,8 +79,10 @@ void Link::accept(const Packet& p) {
     }
     queue_.push_back(p);
     queued_bytes_ += p.size();
+    if (p.transit) ++transit_held_;
   } else {
     in_service_ = p;
+    if (p.transit) ++transit_held_;
     start_service();
   }
 }
@@ -188,6 +190,7 @@ void Link::start_service() {
 void Link::finish_service() {
   bytes_forwarded_ += in_service_.size();
   ++packets_forwarded_;
+  if (in_service_.transit) --transit_held_;
   if (downstream_ != nullptr) {
     // Propagation: the packet appears at the downstream node prop_delay
     // after its last bit leaves this link. Reorder jitter stretches the
@@ -220,6 +223,10 @@ void Link::launch(const Packet& p, Duration delay) {
   if (drops_hop_local_ && !p.transit) {
     RingBuffer<Simulator::EventKey>& line = entry_.local;
     const Simulator::EventKey key = Simulator::event_key(TimePoint::from_nanos(at), ticket);
+    if (key < sim_.count_locals_before_) {
+      sim_.count_local();
+      return;
+    }
     line.push_back(key);
     std::size_t i = line.size() - 1;
     for (; i > 0 && key < line[i - 1]; --i) line[i] = line[i - 1];
@@ -246,6 +253,13 @@ void Link::deliver_head() {
                                                delay_line_.front().ticket);
   sim_.refresh(entry_);
   head.target->handle(head.pkt);
+}
+
+std::vector<std::uint64_t> Link::held_packet_ids() const {
+  std::vector<std::uint64_t> ids;
+  if (busy()) ids.push_back(in_service_.id);
+  for (std::size_t i = 0; i < queue_.size(); ++i) ids.push_back(queue_[i].id);
+  return ids;
 }
 
 std::uint64_t Link::drops_for_flow(std::uint32_t flow) const {

@@ -139,6 +139,10 @@ class Link final : public PacketHandler {
   /// Packets in propagation towards the downstream receiver.
   std::size_t in_flight() const { return delay_line_.size() + entry_.local.size(); }
 
+  /// Ids of the packet in service, then of the queued ones, head first.
+  /// A pure observer for tests.
+  std::vector<std::uint64_t> held_packet_ids() const;
+
   /// Cumulative bytes fully serialized onto the wire (utilization counter —
   /// the quantity an MRTG-style monitor reads, Eq. (2)). In fluid mode this
   /// includes the fluid cross traffic, integrated up to the current virtual
@@ -169,6 +173,12 @@ class Link final : public PacketHandler {
   /// (CrossTrafficSource's Link& constructor); their emissions are
   /// scheduled in the link's entry. A source detaches when it is destroyed.
   const std::vector<CrossTrafficSource*>& sources() const { return sources_; }
+  /// Make room for `n` attached sources in all, so attaching and starting
+  /// them allocates nothing more.
+  void reserve_sources(std::size_t n) {
+    sources_.reserve(n);
+    entry_.emissions.reserve(n);
+  }
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
@@ -196,6 +206,14 @@ class Link final : public PacketHandler {
   /// Put a packet in the delay line; a new front becomes the entry's
   /// delivery key.
   void launch(const Packet& p, Duration delay);
+  /// Nothing the link holds or hands on can reach another link or an
+  /// observer: no transit packet queued, in service or in the delay line,
+  /// and hop-local packets go to a receiver that drops them, or nowhere.
+  /// Simulator::run_until may then run the link alone.
+  bool runs_alone() const {
+    return transit_held_ == 0 && delay_line_.empty() &&
+           (drops_hop_local_ || downstream_ == nullptr);
+  }
 
   friend class CrossTrafficSource;  // attaches to sources_ and entry_
 
@@ -208,6 +226,7 @@ class Link final : public PacketHandler {
   RingBuffer<Packet> queue_;
   Packet in_service_{};  // valid while busy()
   DataSize queued_bytes_{};
+  std::size_t transit_held_{0};  // transit packets queued or in service
 
   // Fluid-mode state (engine v2). fluid_work_secs_ is the FIFO virtual
   // workload W: the time a packet arriving now waits before its own

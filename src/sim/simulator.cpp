@@ -391,10 +391,10 @@ void Simulator::fire_calendar(EventKey key) {
   fire(k);
 }
 
-bool Simulator::fire_next(EventKey limit) {
+Simulator::EventKey Simulator::fire_next(EventKey limit) {
   LinkEntry* e = nullptr;
   const EventKey key = peek_next(e);
-  return key <= limit && fire_at(e, key);
+  return key <= limit && fire_at(e, key) ? key : kNoEvent;
 }
 
 bool Simulator::fire_at(LinkEntry* e, EventKey key) {
@@ -428,10 +428,227 @@ bool Simulator::run_next() {
 
 void Simulator::run_until(TimePoint t) {
   const EventKey limit = event_key(t, ~std::uint64_t{0});
-  while (fire_next(limit)) {
+  while (now_ < t && run_decoupled(limit)) {
+  }
+  while (fire_next(limit) != kNoEvent) {
   }
   settle(limit);
   if (t > now_) now_ = t;
+}
+
+Simulator::EventKey Simulator::calendar_floor() const {
+  if (live_ == 0) return kNoEvent;
+  for (std::size_t i = cur_head_; i < cur_.size(); ++i) {
+    const Key& k = cur_[i];
+    if (k.slot->gen == k.gen || (k.gen & kCountedGen) != 0) {
+      return event_key(TimePoint::from_nanos(k.at), k.seq);
+    }
+  }
+  // The start of the first occupied bucket, block or the heap's top: stale
+  // keys there only make the bound lower.
+  std::int64_t at = 0;
+  if (ring_count_ > 0) {
+    const auto slot = static_cast<std::size_t>(cur_start_ >> kBucketShift) & (kBucketCount - 1);
+    const std::size_t next = next_occupied_after(slot);
+    at = cur_start_ +
+         (static_cast<std::int64_t>((next - slot - 1) & (kBucketCount - 1)) + 1) * kBucketWidth;
+  } else if (coarse_count_ > 0) {
+    const auto b0 = static_cast<std::size_t>(fine_end_ >> kBlockShift) & (kBlockCount - 1);
+    at = fine_end_ + static_cast<std::int64_t>(std::countr_zero(
+                         std::rotr(blocks_occupied_, static_cast<int>(b0)))) *
+                         kBlockWidth;
+  } else {
+    at = overflow_.front().at;
+  }
+  return event_key(TimePoint::from_nanos(at), 0);
+}
+
+bool Simulator::run_decoupled(EventKey limit) {
+  // A chunk ends kDecoupledChunk after the first link event, which bounds
+  // the log (and each link's draw count) however long the gap is. With no
+  // link event due there is nothing to run alone.
+  EventKey first = kNoEvent;
+  for (const Registered& r : entries_) first = std::min(first, r.next);
+  if (first > limit) return false;
+  const std::int64_t end = static_cast<std::int64_t>(first >> 64) + kDecoupledChunk;
+  limit = std::min(limit, event_key(TimePoint::from_nanos(end), 0) - 1);
+  // Decline unless nothing up to the limit couples the links: no calendar
+  // event, no emission of a source that feeds no link, and no link holding
+  // a packet that could reach another link or an observer.
+  if (calendar_floor() <= limit) return false;
+  for (const Registered& r : entries_) {
+    const Link* link = r.entry->link;
+    if (link == nullptr ? r.next <= limit : !link->runs_alone()) return false;
+  }
+  const std::uint64_t before = processed_;
+  // Each link restarts the ticket and id counters at the chunk's values,
+  // so it draws in the global order restricted to itself and every compare
+  // inside it is unchanged.
+  chunk_seq_ = seq_;
+  chunk_ids_ = packet_ids_;
+  log_.clear();
+  // One allocation for a chunk of a loaded path, rather than a doubling
+  // series in the first chunks.
+  if (log_.capacity() == 0) log_.reserve(kLogReserve);
+  merged_ = false;
+  count_locals_before_ = limit + 1;
+  std::uint64_t draws = 0;
+  std::uint64_t ids = 0;
+  for (const Registered& r : entries_) {
+    LinkEntry& e = *r.entry;
+    e.log_begin = log_.size();
+    seq_ = chunk_seq_;
+    packet_ids_ = chunk_ids_;
+    if (r.next <= limit) {
+      retire(e, limit + 1);  // keeps the local line as short as it was
+      while (e.next <= limit) {
+        const EventKey key = e.next;
+        const auto at = static_cast<std::int64_t>(key >> 64);
+        log_.push_back({at, static_cast<std::uint64_t>(key),
+                        static_cast<std::uint32_t>(seq_ - chunk_seq_),
+                        static_cast<std::uint32_t>(packet_ids_ - chunk_ids_)});
+        now_ = TimePoint::from_nanos(at);
+        // The delay line is empty and stays so: a service end or an
+        // emission.
+        if (e.kind == LinkEntry::Kind::kService) {
+          e.link->finish_service();
+        } else {
+          e.link->emit();
+        }
+      }
+    }
+    e.log_end = log_.size();
+    e.chunk_draws = static_cast<std::uint32_t>(seq_ - chunk_seq_);
+    e.chunk_ids = static_cast<std::uint32_t>(packet_ids_ - chunk_ids_);
+    draws += e.chunk_draws;
+    ids += e.chunk_ids;
+  }
+  count_locals_before_ = 0;
+  processed_ += log_.size();
+  link_events_ += log_.size();
+  // Map every provisional value still held back to its true one.
+  for (const Registered& r : entries_) rank_held(*r.entry);
+  seq_ = chunk_seq_ + draws;
+  packet_ids_ = chunk_ids_ + ids;
+  settle(limit);
+  decoupled_events_ += processed_ - before;
+  now_ = TimePoint::from_nanos(static_cast<std::int64_t>(limit >> 64));
+  return true;
+}
+
+void Simulator::rank(const LinkEntry& e, std::uint64_t& value, bool ids, RankRun& run) {
+  const std::uint64_t base = ids ? chunk_ids_ : chunk_seq_;
+  if (value <= base) return;  // drawn before the gap: already true
+  // The value is the link's i-th draw; find the event j that drew it.
+  const std::uint64_t i = value - base - 1;
+  const auto own = [ids](const LogRecord& r) -> std::uint64_t { return ids ? r.ids : r.draws; };
+  const bool ascending = run.event != kNoRun && i >= run.draw;
+  std::size_t j = run.event;
+  if (ascending) {
+    while (j + 1 < e.log_end && own(log_[j + 1]) <= i) ++j;
+  } else {
+    const auto it = std::upper_bound(
+        log_.begin() + static_cast<std::ptrdiff_t>(e.log_begin),
+        log_.begin() + static_cast<std::ptrdiff_t>(e.log_end), i,
+        [&own](std::uint64_t v, const LogRecord& r) { return v < own(r); });
+    j = static_cast<std::size_t>(it - log_.begin()) - 1;
+  }
+  run = {i, j};
+  // Before event j all links drew `drawn` values: this link its own, every
+  // other link those of its events before j's time. A position found for a
+  // run only moves forward along it.
+  std::uint64_t drawn = own(log_[j]);
+  if (!merged_) {
+    const std::int64_t at = log_[j].at;
+    for (const Registered& r : entries_) {
+      LinkEntry& o = *r.entry;
+      if (&o == &e) continue;
+      const auto last = log_.begin() + static_cast<std::ptrdiff_t>(o.log_end);
+      auto it = log_.begin() + static_cast<std::ptrdiff_t>(ascending ? o.log_head : o.log_begin);
+      if (ascending) {
+        while (it != last && it->at < at) ++it;
+      } else {
+        it = std::lower_bound(it, last, at,
+                              [](const LogRecord& rec, std::int64_t t) { return rec.at < t; });
+      }
+      o.log_head = static_cast<std::size_t>(it - log_.begin());
+      if (it == last) {
+        drawn += ids ? o.chunk_ids : o.chunk_draws;
+      } else if (it->at != at) {
+        drawn += own(*it);
+      } else {
+        // A tie: time alone cannot order the two events. Values ranked so
+        // far drew at no tie and are exact; rank this one and the rest by
+        // the merge.
+        merge_logs();
+        break;
+      }
+    }
+  }
+  if (merged_) drawn = ids ? log_[j].ticket & 0xFFFFFFFFu : log_[j].ticket >> 32;
+  value = base + 1 + drawn + (i - own(log_[j]));
+}
+
+void Simulator::merge_logs() {
+  // A k-way merge by (time, true key ticket). Every key's ticket was drawn
+  // before the gap or by an earlier event of its own link, which the merge
+  // has ranked already, so each head's true ticket is known. A ranked
+  // event's ticket is no longer read: it becomes what all links drew
+  // before the event.
+  merged_ = true;
+  for (const Registered& r : entries_) r.entry->log_head = r.entry->log_begin;
+  std::uint64_t draws = 0;
+  std::uint64_t ids = 0;
+  for (;;) {
+    LinkEntry* best = nullptr;
+    EventKey best_key = kNoEvent;
+    for (const Registered& r : entries_) {
+      LinkEntry& e = *r.entry;
+      if (e.log_head == e.log_end) continue;
+      const LogRecord& rec = log_[e.log_head];
+      std::uint64_t ticket = rec.ticket;
+      RankRun run;
+      rank(e, ticket, false, run);
+      const EventKey key = event_key(TimePoint::from_nanos(rec.at), ticket);
+      if (key < best_key) {
+        best_key = key;
+        best = &e;
+      }
+    }
+    if (best == nullptr) return;
+    const std::size_t j = best->log_head++;
+    log_[j].ticket = draws << 32 | ids;
+    const bool last = j + 1 == best->log_end;
+    draws += (last ? best->chunk_draws : log_[j + 1].draws) - log_[j].draws;
+    ids += (last ? best->chunk_ids : log_[j + 1].ids) - log_[j].ids;
+  }
+}
+
+void Simulator::rank_held(LinkEntry& e) {
+  if (e.link == nullptr || e.log_begin == e.log_end) return;  // drew nothing
+  RankRun run;
+  const auto key = [&](EventKey& k) {
+    auto ticket = static_cast<std::uint64_t>(k);
+    rank(e, ticket, false, run);
+    k = (k >> 64 << 64) | ticket;
+  };
+  // Runs of ascending values rank in one sweep: the local line (its tickets
+  // follow launch order but for jitter), and the ids of the packet in
+  // service and of the queue. The emission heap is in no such order.
+  for (LinkEntry::Emission& em : e.emissions) {
+    run = RankRun{};
+    key(em.key);
+    em.source->next_ticket_ = static_cast<std::uint64_t>(em.key);
+  }
+  run = RankRun{};
+  if (e.service != kNoEvent) key(e.service);
+  run = RankRun{};
+  for (std::size_t i = 0; i < e.local.size(); ++i) key(e.local[i]);
+  run = RankRun{};
+  Link& link = *e.link;
+  if (link.busy()) rank(e, link.in_service_.id, true, run);
+  for (std::size_t i = 0; i < link.queue_.size(); ++i) rank(e, link.queue_[i].id, true, run);
+  refresh(e);
 }
 
 void Simulator::retire_due(LinkEntry& e, EventKey before) {
@@ -562,6 +779,39 @@ void Simulator::throw_fast_forward(TimePoint t) const {
   throw std::logic_error{"Simulator::fast_forward: " + std::to_string(pending_events()) +
                          " events queued, t=" + std::to_string(t.nanos()) +
                          "ns, now=" + std::to_string(now_.nanos()) + "ns"};
+}
+
+std::vector<Simulator::EventKey> Simulator::pending_keys() const {
+  std::vector<EventKey> keys;
+  const auto put = [&keys](const Key& k) {
+    if (k.slot->gen == k.gen || (k.gen & kCountedGen) != 0) {
+      keys.push_back(event_key(TimePoint::from_nanos(k.at), k.seq));
+    }
+  };
+  const auto put_list = [&](std::uint32_t head) {
+    for (std::uint32_t n = head; n != kNil; n = pool_[n].next) put(pool_[n]);
+  };
+  for (std::size_t i = cur_head_; i < cur_.size(); ++i) put(cur_[i]);
+  for (std::size_t b = 0; b < kBucketCount; ++b) {
+    if ((occupied_[b >> 6] >> (b & 63) & 1) != 0) put_list(bucket_head_[b]);
+  }
+  for (std::size_t b = 0; b < kBlockCount; ++b) {
+    if ((blocks_occupied_ >> b & 1) != 0) put_list(block_head_[b]);
+  }
+  for (const Key& k : overflow_) put(k);
+  for (const Registered& r : entries_) {
+    const LinkEntry& e = *r.entry;
+    for (const LinkEntry::Emission& em : e.emissions) keys.push_back(em.key);
+    if (e.service != kNoEvent) keys.push_back(e.service);
+    for (std::size_t i = 0; i < e.local.size(); ++i) keys.push_back(e.local[i]);
+    if (e.link == nullptr) continue;
+    const auto& line = e.link->delay_line_;
+    for (std::size_t i = 0; i < line.size(); ++i) {
+      keys.push_back(event_key(TimePoint::from_nanos(line[i].at), line[i].ticket));
+    }
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
 }
 
 void Simulator::run_all() {

@@ -77,6 +77,13 @@ class Link;
 /// ticket), the calendar's top key or the earliest link entry, so the
 /// event sequence is the one a timer per link event would give
 /// (docs/ENGINE.md, "Link entries").
+///
+/// Between probe streams nothing couples the links of a path: each hop's
+/// cross traffic leaves after one hop. When no calendar key, no source
+/// feeding no link and no transit packet is due, run_until runs each link
+/// alone to the limit on provisional tickets and packet ids, then ranks
+/// them back into the global order (docs/ENGINE.md, "Decoupled links"),
+/// so every counter and the later event sequence are the merged loop's.
 class Simulator {
  public:
   // Sized for the largest capture left: the keyed-batch record closure of
@@ -167,8 +174,26 @@ class Simulator {
   bool run_next();
 
   /// Process all events with timestamp <= t, then advance the clock to t.
-  /// With an empty queue this still advances the clock.
+  /// With an empty queue this still advances the clock. Where nothing
+  /// couples the links, they run one at a time (decoupled_events()).
   void run_until(TimePoint t);
+
+  /// Fire events in run_until's order while `more()` holds before each
+  /// one and an event is left, counting hop-local deliveries in bulk; then
+  /// count the deliveries before the last event fired. Every counter, the
+  /// clock and every observer `more` reads end as after
+  /// `while (more() && run_next()) {}`, provided `more` reads neither the
+  /// event counters nor the clock.
+  template <typename More>
+  void run_while(More more) {
+    EventKey last = 0;
+    while (more()) {
+      const EventKey key = fire_next(kNoEvent);
+      if (key == kNoEvent) break;
+      last = key;
+    }
+    settle(last);
+  }
 
   /// Process all events in the next `d` of virtual time.
   void run_for(Duration d) { run_until(now_ + d); }
@@ -205,6 +230,17 @@ class Simulator {
   /// observer.
   std::uint64_t link_events() const { return link_events_; }
 
+  /// The share of events_processed() that run_until accounted on its
+  /// decoupled path: link events run one link at a time, and the hop-local
+  /// deliveries they launched and counted. Exact and a pure observer.
+  std::uint64_t decoupled_events() const { return decoupled_events_; }
+
+  /// Every pending occurrence that will count as an event, as (time,
+  /// ticket) keys in ascending order: the calendar's live and counted stale
+  /// keys, each source's emission, each link's service end and every packet
+  /// in its delay line and its local line. A pure observer for tests.
+  std::vector<EventKey> pending_keys() const;
+
   /// Keys scheduled into each lane of the calendar queue, counted where
   /// each key first lands (a later move from heap to second level, or from
   /// second level to ring, is not counted again). Link entries are not
@@ -240,6 +276,9 @@ class Simulator {
   static constexpr std::size_t kSlabChunk = 256;  // slots per slab block
   static constexpr std::size_t kPoolReserve = 256;  // keys of ring and second level
   static constexpr std::uint32_t kNil = ~std::uint32_t{0};  // end of a pool list
+  // The decoupled path runs a gap ~134 ms at a time (see run_decoupled).
+  static constexpr std::int64_t kDecoupledChunk = std::int64_t{1} << 27;
+  static constexpr std::size_t kLogReserve = 4096;  // events of one chunk
 
   // Slot generations step by two; bit 0 marks a counted timer's slot. Keys
   // copy the slot's generation, so a stale key still knows whether it was
@@ -303,8 +342,9 @@ class Simulator {
   /// calendar's top key).
   [[gnu::always_inline]] inline EventKey peek_next(LinkEntry*& entry);
   void fire_calendar(EventKey key);
-  /// Fire the earliest event if its key is <= limit; false if none.
-  bool fire_next(EventKey limit);
+  /// Fire the earliest event if its key is <= limit; its key, or kNoEvent
+  /// if none fired.
+  EventKey fire_next(EventKey limit);
   /// Fire the event peek_next found; false if there is none.
   bool fire_at(LinkEntry* e, EventKey key);
 
@@ -321,6 +361,44 @@ class Simulator {
   void retire_due(LinkEntry& e, EventKey before);
   void settle(EventKey before);
   LinkEntry& loose_entry();
+
+  // The decoupled path of run_until (docs/ENGINE.md, "Decoupled links").
+  struct LogRecord {  // one event of a link run alone
+    std::int64_t at;
+    // The ticket of the event's key, provisional if drawn in the chunk.
+    // Once merge_logs has ranked the event: the tickets (high half) and
+    // packet ids (low half) that all links drew before it in the chunk.
+    std::uint64_t ticket;
+    std::uint32_t draws;  // the link's tickets drawn in the chunk before it
+    std::uint32_t ids;    // the link's packet ids drawn in the chunk before it
+  };
+  /// A run of ascending values being ranked: the last one's draw index
+  /// and drawing event (kNoRun: none yet). Along a run the drawing event
+  /// and every other entry's position in the log (LinkEntry::log_head)
+  /// only move forward, so a run costs one sweep.
+  static constexpr std::size_t kNoRun = ~std::size_t{0};
+  struct RankRun {
+    std::uint64_t draw{0};
+    std::size_t event{kNoRun};
+  };
+  /// The earliest calendar key, or a lower bound of it; kNoEvent if none.
+  EventKey calendar_floor() const;
+  /// Run every link alone up to `limit`, or through one chunk of it, and
+  /// rank what they drew back into the global order; false, with nothing
+  /// run, where that is not exact.
+  bool run_decoupled(EventKey limit);
+  /// Rewrite a ticket (ids: packet id) that `e` holds, next in `run`, to
+  /// its true value: by time, or by the merge once a tie needed it.
+  void rank(const LinkEntry& e, std::uint64_t& value, bool ids, RankRun& run);
+  /// Rank every event of the log by (time, true key ticket).
+  void merge_logs();
+  /// Rewrite every ticket and packet id that `e` and its link hold to its
+  /// true value.
+  void rank_held(LinkEntry& e);
+  void count_local() {
+    ++processed_;
+    ++link_events_;
+  }
   friend class Link;
   friend class CrossTrafficSource;
 
@@ -391,6 +469,19 @@ class Simulator {
   bool rescan_{false};
   std::size_t link_live_{0};  // link entries' pending events
   std::uint64_t link_events_{0};
+  std::uint64_t decoupled_events_{0};
+  // While links run alone: a hop-local delivery launched before this key is
+  // counted at once, not stored (nothing can observe it before the limit).
+  EventKey count_locals_before_{0};
+  // The chunk's first ticket and packet id, less one, while links run
+  // alone.
+  std::uint64_t chunk_seq_{0};
+  std::uint64_t chunk_ids_{0};
+  bool merged_{false};  // merge_logs ranked the current log
+  // Every link's events of the current chunk, one link after another.
+  // Reused from chunk to chunk: reserved once, it allocates nothing more
+  // unless a chunk outgrows it.
+  std::vector<LogRecord> log_;
   // Sources built on a handler that is not a Link share this entry.
   std::unique_ptr<LinkEntry> loose_;
 };
@@ -447,6 +538,14 @@ struct Simulator::LinkEntry {
   std::size_t pending{0};  // events counted in link_live_
   std::size_t index{0};    // in Simulator::entries_
   Kind kind{Kind::kNone};
+  // The decoupled path's current chunk: the link's events in the log,
+  // [log_begin, log_end), the merge's position in them, and the tickets
+  // and packet ids the link drew.
+  std::size_t log_begin{0};
+  std::size_t log_end{0};
+  std::size_t log_head{0};
+  std::uint32_t chunk_draws{0};
+  std::uint32_t chunk_ids{0};
 };
 
 inline void Simulator::count_pending(LinkEntry& e) {

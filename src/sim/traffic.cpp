@@ -1,6 +1,7 @@
 #include "sim/traffic.hpp"
 
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -183,6 +184,9 @@ void TrafficAggregate::build(Simulator& sim, Target& target, Rate aggregate_rate
   }
   const Rate per_source = aggregate_rate / static_cast<double>(num_sources);
   sources_.reserve(static_cast<std::size_t>(num_sources));
+  if constexpr (std::is_same_v<Target, Link>) {
+    target.reserve_sources(target.sources().size() + static_cast<std::size_t>(num_sources));
+  }
   for (int i = 0; i < num_sources; ++i) {
     sources_.push_back(std::make_unique<CrossTrafficSource>(
         sim, target, per_source, model, mix, rng.fork(), pareto_alpha));

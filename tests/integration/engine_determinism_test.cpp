@@ -58,7 +58,10 @@ TEST(EngineDeterminism, PaperPathPathloadRunEventAndForwardCountsPinned) {
   // delivery and forwards every packet. Every event of a v1 session is
   // fired, none resolved in closed form, and the link entries fire all but
   // the probe sends and the session's own timers: a link event that went
-  // back through the calendar would show in link_events().
+  // back through the calendar would show in link_events(). The warmup and
+  // the idle gaps between streams run each link alone (run_until's
+  // decoupled path): a gap that stopped taking it would show in
+  // decoupled_events().
   ScenarioSpec spec = Registry::builtin().at("paper-path");
   spec.seed = 77;
   ScenarioInstance inst{std::move(spec)};
@@ -72,6 +75,7 @@ TEST(EngineDeterminism, PaperPathPathloadRunEventAndForwardCountsPinned) {
   EXPECT_EQ(inst.simulator().events_processed(), 577717u);
   EXPECT_EQ(inst.simulator().events_resolved(), 0u);
   EXPECT_EQ(inst.simulator().link_events(), 574097u);
+  EXPECT_EQ(inst.simulator().decoupled_events(), 453475u);
   ASSERT_EQ(inst.path().hop_count(), 3u);
   EXPECT_EQ(inst.path().link(0).packets_forwarded(), 76852u);
   EXPECT_EQ(inst.path().link(1).packets_forwarded(), 40497u);
