@@ -295,8 +295,9 @@ core::PathloadResult run_probe_session(const char* preset, std::uint64_t seed,
 void BM_ProbeFleetSecond(benchmark::State& state) {
   // A full v2 pathload session, seed 77, with every stream event-driven
   // (even arg) vs the default fast paths (odd arg), on paper-path (args
-  // 0, 1: quiescent and unimpaired) and lossy-tight (args 2, 3: quiescent
-  // and impaired). Before measuring, pin the contract the speedup rides on
+  // 0, 1: quiescent and unimpaired), lossy-tight (args 2, 3: quiescent
+  // and impaired) and bursty-tight (args 4, 5: on/off timers always
+  // pending, so the default is the keyed batch). Before measuring, pin the contract the speedup rides on
   // (bench_smoke_engine_v2 runs this in the default CI tier): on
   // paper-path, lossy-tight and flaky-path the default run reports
   // byte-identically to the event-driven one, and counts exactly the
@@ -328,7 +329,8 @@ void BM_ProbeFleetSecond(benchmark::State& state) {
     }
     return;
   }
-  const char* preset = state.range(0) < 2 ? "paper-path" : "lossy-tight";
+  static const char* kPresets[] = {"paper-path", "lossy-tight", "bursty-tight"};
+  const char* preset = kPresets[state.range(0) / 2];
   const BurstPath fastest =
       state.range(0) % 2 == 0 ? BurstPath::kEventDriven : BurstPath::kClosedForm;
   for (auto _ : state) {
@@ -336,7 +338,7 @@ void BM_ProbeFleetSecond(benchmark::State& state) {
     benchmark::DoNotOptimize(res.fleets);
   }
 }
-BENCHMARK(BM_ProbeFleetSecond)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_ProbeFleetSecond)->DenseRange(0, 5);
 
 void BM_TcpScenarioSecond(benchmark::State& state) {
   // One simulated second (plus the 2 s warmup run by start()) of the

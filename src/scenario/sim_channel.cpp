@@ -12,7 +12,8 @@ SimProbeChannel::SimProbeChannel(sim::Simulator& sim, sim::Path& path)
     : sim_{sim},
       path_{path},
       flow_{sim.next_flow_id()},
-      send_timer_{sim.make_timer([this] { send_next(); })} {
+      send_timer_{sim.make_timer([this] { send_next(); })},
+      batch_timer_{sim.make_timer([this] { account_next(); })} {
   receiver_.channel = this;
   path_.egress().register_flow(flow_, &receiver_);
 }
@@ -135,43 +136,42 @@ void SimProbeChannel::resolve_closed_form(const core::StreamSpec& spec, bool imp
 }
 
 void SimProbeChannel::run_stream_batched() {
-  // Other events are queued, so only the accounting points are scheduled:
-  // one bulk insert of K events under one ticket block, as if they had all
-  // been scheduled now. Foreign events before the last of them then run
-  // exactly as the event-driven completion loop would run them. The
-  // transit itself used the links' rates at burst start (docs/ENGINE.md).
+  // Other events are queued, so only the accounting points go through the
+  // event loop: K events under one ticket block, as if they had all been
+  // scheduled now. One timer fires them in time order, re-arming itself
+  // with the next entry's reserved ticket, so foreign events before the
+  // last of them run exactly as the event-driven completion loop would run
+  // them. The transit itself used the links' rates at burst start
+  // (docs/ENGINE.md).
   const std::size_t k = send_times_.size();
-  std::vector<bool> received(k, false);
-  for (const sim::Link::BurstHop& a : arrivals_) received[a.seq] = true;
-  std::vector<sim::Simulator::BatchEvent> batch;
-  batch.reserve(k);
+  batch_.resize(k);
   for (std::size_t i = 0; i < k; ++i) {
-    if (received[i]) {
-      const core::ProbeRecord rec{static_cast<std::uint32_t>(i),
-                                  send_times_[i] + sender_offset_,
-                                  settled_[i] + receiver_offset_};
-      batch.push_back({settled_[i], sim::Simulator::Callback{[this, rec] {
-                         records_.push_back(rec);
-                         --batch_pending_;
-                       }}});
-    } else {
-      // The drop is already on the link counters; the placeholder sits at
-      // the arrival at the dropping hop, where the event-driven path
-      // accounts it, so the completion loop ends at the same instant.
-      batch.push_back({settled_[i], sim::Simulator::Callback{[this] { --batch_pending_; }}});
-    }
+    // A drop's point is the arrival at the dropping hop, where the
+    // event-driven path accounts it; its counters are already moved.
+    batch_[i] = Accounting{settled_[i], static_cast<std::uint32_t>(i), false};
   }
-  // A drop's accounting point can precede an earlier packet's delivery;
-  // restore the time order schedule_batch requires. Stable, so
-  // equal-timestamp entries keep packet order.
-  const auto by_time = [](const sim::Simulator::BatchEvent& a,
-                          const sim::Simulator::BatchEvent& b) { return a.at < b.at; };
-  if (!std::is_sorted(batch.begin(), batch.end(), by_time)) {
-    std::stable_sort(batch.begin(), batch.end(), by_time);
+  for (const sim::Link::BurstHop& a : arrivals_) batch_[a.seq].received = true;
+  // A drop's accounting point can precede an earlier packet's delivery.
+  // Stable, so equal-timestamp entries keep packet order.
+  const auto by_time = [](const Accounting& a, const Accounting& b) { return a.at < b.at; };
+  if (!std::is_sorted(batch_.begin(), batch_.end(), by_time)) {
+    std::stable_sort(batch_.begin(), batch_.end(), by_time);
   }
-  batch_pending_ = batch.size();
-  sim_.schedule_batch(std::move(batch));
-  sim_.run_while([this] { return batch_pending_ > 0; });
+  batch_base_ = sim_.reserve_fifo_tickets(static_cast<std::uint32_t>(k));
+  batch_next_ = 0;
+  batch_timer_.schedule_at(batch_[0].at, batch_base_);
+  sim_.run_while([this] { return batch_next_ < batch_.size(); });
+}
+
+void SimProbeChannel::account_next() {
+  const Accounting& e = batch_[batch_next_];
+  if (e.received) {
+    records_.push_back(
+        core::ProbeRecord{e.seq, send_times_[e.seq] + sender_offset_, e.at + receiver_offset_});
+  }
+  if (++batch_next_ < batch_.size()) {
+    batch_timer_.schedule_at(batch_[batch_next_].at, batch_base_ + batch_next_);
+  }
 }
 
 sim::Packet SimProbeChannel::probe_packet(const core::StreamSpec& spec) const {

@@ -50,8 +50,9 @@ class SimProbeChannel final : public core::ProbeChannel, public core::BulkChanne
   enum class BurstPath {
     /// One scheduled send per probe and one delivery per hop.
     kEventDriven,
-    /// All-fluid unimpaired path: closed-form transit, then K keyed
-    /// accounting events (Simulator::schedule_batch).
+    /// All-fluid unimpaired path: closed-form transit, then K accounting
+    /// events in time order, fired by one timer that re-arms itself with
+    /// the next of K tickets reserved at once.
     kKeyedBatch,
     /// All-fluid path, empty event queue: one closed-form pass and
     /// Simulator::fast_forward, no events scheduled.
@@ -94,6 +95,7 @@ class SimProbeChannel final : public core::ProbeChannel, public core::BulkChanne
   TimePoint transit_burst(const core::StreamSpec& spec);
   void resolve_closed_form(const core::StreamSpec& spec, bool impaired);
   void run_stream_batched();
+  void account_next();
   void run_event_driven(const core::StreamSpec& spec, bool impaired);
   void send_next();
 
@@ -124,11 +126,20 @@ class SimProbeChannel final : public core::ProbeChannel, public core::BulkChanne
   std::vector<sim::Link::BurstHop> launched_;
   std::vector<TimePoint> settled_;
   std::uint64_t launches_{0};
-  // Keyed batch: deliveries (and drop accounting points) still pending in
-  // the event queue for the stream in flight; the completion loop runs
-  // until it hits zero, which lands the clock on the same instant as the
-  // event-driven path.
-  std::uint64_t batch_pending_{0};
+  // Keyed batch: each packet's accounting point (its delivery, or its
+  // drop) in time order, and the next to fire. The timer fires entry j
+  // with ticket batch_base_ + j, as if all K had been scheduled at once;
+  // the completion loop runs until the last has fired, which lands the
+  // clock on the same instant as the event-driven path.
+  struct Accounting {
+    TimePoint at;
+    std::uint32_t seq;
+    bool received;
+  };
+  std::vector<Accounting> batch_;
+  std::size_t batch_next_{0};
+  std::uint64_t batch_base_{0};
+  sim::Simulator::TimerHandle batch_timer_;
 
   BurstPath fastest_{BurstPath::kClosedForm};
   StreamPaths paths_;

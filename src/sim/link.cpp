@@ -18,6 +18,8 @@ Link::Link(Simulator& sim, std::string name, Rate capacity, Duration prop_delay,
   if (capacity <= Rate::zero()) {
     throw std::invalid_argument{"Link capacity must be positive"};
   }
+  fluid_drift_ = fluid_rate_bps_ / capacity_.bits_per_sec() - 1.0;
+  fluid_ceiling_secs_ = capacity_.transmission_time(buffer_limit_).secs();
   entry_.link = this;
   sim_.register_entry(entry_);
 }
@@ -73,8 +75,7 @@ void Link::accept(const Packet& p) {
     accept_fluid(p);
   } else if (busy()) {
     if (queued_bytes_ + p.size() > buffer_limit_) {
-      ++drops_;
-      if (p.flow != kCrossTrafficFlow) ++flow_drops_[p.flow];
+      count_drop(p);
       return;
     }
     queue_.push_back(p);
@@ -94,53 +95,55 @@ void Link::set_impairments(const LinkImpairments& imp) {
 
 void Link::enable_fluid_mode() {
   fluid_mode_ = true;
-  fluid_last_ = sim_.now();
+  fluid_.last = sim_.now();
 }
 
-void Link::add_fluid_rate(Rate delta) {
-  settle_fluid();
-  // Cancel tiny negative residue when the last of several sources removes
-  // its share (the adds and removes are floating-point sums).
-  fluid_rate_bps_ = std::max(0.0, fluid_rate_bps_ + delta.bits_per_sec());
-}
-
-void Link::settle_fluid() { settle_fluid_at(sim_.now()); }
-
-void Link::settle_fluid_at(TimePoint now) {
-  const double dt = (now - fluid_last_).secs();
+inline void Link::settle(FluidState& s, TimePoint now) const {
+  const double dt = (now - s.last).secs();
   if (dt <= 0.0) return;
-  const double cap = capacity_.bits_per_sec();
-  fluid_bytes_ += std::min(fluid_rate_bps_, cap) * dt / 8.0;
+  s.bytes += std::min(fluid_rate_bps_, capacity_.bits_per_sec()) * dt / 8.0;
   // W drifts at lambda/C - 1: drains while under-loaded, grows while the
   // fluid alone oversubscribes the link (transient on/off peaks). The
   // max() clamps at the instant the queue empties; the min() is drop-tail
   // for the fluid itself (overflow fluid vanishes, as v1's drop-tail
   // discards the packets it stood for).
-  fluid_work_secs_ += dt * (fluid_rate_bps_ / cap - 1.0);
-  fluid_work_secs_ = std::max(0.0, fluid_work_secs_);
-  fluid_work_secs_ =
-      std::min(fluid_work_secs_, capacity_.transmission_time(buffer_limit_).secs());
-  fluid_last_ = now;
+  s.work_secs += dt * fluid_drift_;
+  s.work_secs = std::max(0.0, s.work_secs);
+  s.work_secs = std::min(s.work_secs, fluid_ceiling_secs_);
+  s.last = now;
 }
 
-std::optional<TimePoint> Link::fluid_transit(const Packet& p, TimePoint arrival) {
-  settle_fluid_at(arrival);
-  const Duration tx = capacity_.transmission_time(p.size());
-  if (capacity_.bytes_in(Duration::seconds(fluid_work_secs_)) + p.size() >
-      buffer_limit_) {
-    ++drops_;
-    if (p.flow != kCrossTrafficFlow) ++flow_drops_[p.flow];
-    return std::nullopt;
-  }
+void Link::add_fluid_rate(Rate delta) {
+  settle(fluid_, sim_.now());
+  // Cancel tiny negative residue when the last of several sources removes
+  // its share (the adds and removes are floating-point sums).
+  fluid_rate_bps_ = std::max(0.0, fluid_rate_bps_ + delta.bits_per_sec());
+  fluid_drift_ = fluid_rate_bps_ / capacity_.bits_per_sec() - 1.0;
+}
+
+inline std::optional<TimePoint> Link::fluid_step(FluidState& s, Duration tx, DataSize size,
+                                                 TimePoint arrival) const {
+  settle(s, arrival);
+  const Duration work = Duration::seconds(s.work_secs);
+  if (capacity_.bytes_in(work) + size > buffer_limit_) return std::nullopt;
   // FIFO: the packet waits out the whole current workload, then serializes.
   // Its own transmission time joins the workload seen by later arrivals, so
   // packet-on-packet queueing (a SLoPS stream overrunning the link) stays
   // exact; only the cross traffic is fluid.
-  const Duration wait = Duration::seconds(fluid_work_secs_) + tx;
-  fluid_work_secs_ += tx.secs();
+  s.work_secs += tx.secs();
+  return arrival + ((work + tx) + prop_delay_);
+}
+
+std::optional<TimePoint> Link::fluid_transit(const Packet& p, TimePoint arrival) {
+  const std::optional<TimePoint> delivery =
+      fluid_step(fluid_, tx_time(p.size()), p.size(), arrival);
+  if (!delivery.has_value()) {
+    count_drop(p);
+    return std::nullopt;
+  }
   bytes_forwarded_ += p.size();
   ++packets_forwarded_;
-  return arrival + (wait + prop_delay_);
+  return delivery;
 }
 
 std::optional<Duration> Link::serve_fluid(const Packet& p, TimePoint now) {
@@ -162,22 +165,42 @@ void Link::accept_fluid(const Packet& p) {
 
 void Link::serve_fluid_burst(const Packet& proto, const std::vector<BurstHop>& arrivals,
                              std::vector<BurstHop>& launched) {
-  for (const BurstHop& a : arrivals) {
-    admit(proto, [&](const Packet& q) {
-      if (const std::optional<Duration> delay = serve_fluid(q, a.at)) {
-        launched.push_back(BurstHop{a.at + *delay, a.seq});
-      }
-    });
+  if (impair_rng_ != nullptr) {
+    for (const BurstHop& a : arrivals) {
+      admit(proto, [&](const Packet& q) {
+        if (const std::optional<Duration> delay = serve_fluid(q, a.at)) {
+          launched.push_back(BurstHop{a.at + *delay, a.seq});
+        }
+      });
+    }
+    return;
   }
+  // Unimpaired: no draws, so fluid_transit's steps run back to back on a
+  // copy of the state held in registers, and the counters are written once.
+  const Duration tx = tx_time(proto.size());
+  FluidState s = fluid_;
+  std::int64_t forwarded = 0;
+  for (const BurstHop& a : arrivals) {
+    const std::optional<TimePoint> delivery = fluid_step(s, tx, proto.size(), a.at);
+    if (!delivery.has_value()) {
+      count_drop(proto);
+      continue;
+    }
+    ++forwarded;
+    if (downstream_ != nullptr) launched.push_back(BurstHop{*delivery, a.seq});
+  }
+  fluid_ = s;
+  packets_forwarded_ += static_cast<std::uint64_t>(forwarded);
+  bytes_forwarded_ += DataSize::bytes(forwarded * proto.size().byte_count());
 }
 
 DataSize Link::bytes_forwarded() const {
   if (!fluid_mode_) return bytes_forwarded_;
   // Settle-free read: integrate the fluid since the last settle point
   // without mutating (the accessor is const and monitors poll it often).
-  const double dt = std::max(0.0, (sim_.now() - fluid_last_).secs());
+  const double dt = std::max(0.0, (sim_.now() - fluid_.last).secs());
   const double fluid =
-      fluid_bytes_ + std::min(fluid_rate_bps_, capacity_.bits_per_sec()) * dt / 8.0;
+      fluid_.bytes + std::min(fluid_rate_bps_, capacity_.bits_per_sec()) * dt / 8.0;
   return bytes_forwarded_ + DataSize::bytes(static_cast<std::int64_t>(fluid));
 }
 
@@ -276,11 +299,8 @@ Duration Link::backlog_delay() const {
   if (fluid_mode_) {
     // The virtual workload *is* the backlog delay; project it to now
     // without mutating.
-    const double dt = std::max(0.0, (sim_.now() - fluid_last_).secs());
-    const double w = std::max(
-        0.0,
-        fluid_work_secs_ + dt * (fluid_rate_bps_ / capacity_.bits_per_sec() - 1.0));
-    return Duration::seconds(w);
+    const double dt = std::max(0.0, (sim_.now() - fluid_.last).secs());
+    return Duration::seconds(std::max(0.0, fluid_.work_secs + dt * fluid_drift_));
   }
   // Residual service of the in-flight packet is not tracked exactly; the
   // upper bound (full serialization) is fine for tests and diagnostics.

@@ -184,13 +184,40 @@ class Link final : public PacketHandler {
   Link& operator=(const Link&) = delete;
 
  private:
+  /// The fluid state a packet arrival moves (see fluid_step).
+  struct FluidState {
+    double work_secs{0.0};  // the virtual workload W
+    double bytes{0.0};      // the fluid byte integral
+    TimePoint last{};       // the settle point of both
+  };
+
   template <typename Accept>
   void admit(const Packet& p, Accept&& accept);
   void accept(const Packet& p);
   std::optional<Duration> serve_fluid(const Packet& p, TimePoint now);
   void accept_fluid(const Packet& p);
-  void settle_fluid();
-  void settle_fluid_at(TimePoint now);
+  /// Serialization time of `size`, cached for the last size asked.
+  Duration tx_time(DataSize size) {
+    if (size != tx_size_) {
+      tx_size_ = size;
+      tx_ = capacity_.transmission_time(size);
+    }
+    return tx_;
+  }
+  /// Integrate the fluid and drift the workload of `s` from s.last to
+  /// `now`, if later.
+  [[gnu::always_inline]] inline void settle(FluidState& s, TimePoint now) const;
+  /// Settle `s` to `arrival`, then serve a packet of `size` (transmission
+  /// time `tx`) against it: its delivery time at the downstream node, or
+  /// nullopt if drop-tailed. Counts nothing. fluid_transit and the
+  /// burst loop of serve_fluid_burst both run it.
+  [[gnu::always_inline]] inline std::optional<TimePoint> fluid_step(FluidState& s, Duration tx,
+                                                                    DataSize size,
+                                                                    TimePoint arrival) const;
+  void count_drop(const Packet& p) {
+    ++drops_;
+    if (p.flow != kCrossTrafficFlow) ++flow_drops_[p.flow];
+  }
 
   // The events of the link's entry, fired by Simulator::fire_entry. Each
   // state change sets the entry's key, with a ticket reserved at the point
@@ -228,19 +255,26 @@ class Link final : public PacketHandler {
   DataSize queued_bytes_{};
   std::size_t transit_held_{0};  // transit packets queued or in service
 
-  // Fluid-mode state (engine v2). fluid_work_secs_ is the FIFO virtual
+  // Fluid-mode state (engine v2). fluid_.work_secs is the FIFO virtual
   // workload W: the time a packet arriving now waits before its own
   // serialization starts. Between settle points W drains at (1 - lambda/C)
   // while positive (lambda = fluid rate, C = capacity); a packet arrival
   // adds its own transmission time. This reproduces the fluid FIFO delay
   // recursion of the paper's Appendix (fluid::FluidPath::owd_delta_per_packet)
-  // exactly for constant lambda. fluid_bytes_ integrates min(lambda, C)
-  // up to fluid_last_ for the utilization counter.
+  // exactly for constant lambda. fluid_.bytes integrates min(lambda, C)
+  // up to fluid_.last for the utilization counter.
+  //
+  // The quotients a packet arrival needs change only with the rate or
+  // never, so they are kept, each computed by the expression it replaces:
+  // W's drift lambda/C - 1 (set with the rate), W's ceiling (the buffer's
+  // transmission time) and the last packet size's transmission time.
   bool fluid_mode_{false};
   double fluid_rate_bps_{0.0};
-  double fluid_work_secs_{0.0};
-  double fluid_bytes_{0.0};
-  TimePoint fluid_last_{};
+  double fluid_drift_{0.0};
+  double fluid_ceiling_secs_{0.0};
+  FluidState fluid_;
+  DataSize tx_size_{DataSize::bytes(-1)};
+  Duration tx_{};
 
   PacketHandler* downstream_{nullptr};
   bool drops_hop_local_{false};

@@ -117,41 +117,6 @@ void Simulator::schedule_now(Callback cb) {
   insert(Key{now_.nanos(), ++seq_, s, s->gen});
 }
 
-std::uint64_t Simulator::schedule_batch(std::vector<BatchEvent> entries) {
-  // Validate the whole batch before touching any state: a throwing call
-  // must leave the FIFO numbering and the queue exactly as it found them
-  // (schedule_at makes the same guarantee).
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    if (entries[i].at < now_) throw_past(entries[i].at, now_);
-    if (i > 0 && entries[i].at < entries[i - 1].at) {
-      throw std::logic_error{"Simulator::schedule_batch: entries not time-ascending"};
-    }
-  }
-  const auto n = static_cast<std::uint32_t>(entries.size());
-  const std::uint64_t base = reserve_fifo_tickets(n);
-  bool deferred = false;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    Slot* s = alloc_slot();
-    s->cb = std::move(entries[i].cb);
-    const Key k{entries[i].at.nanos(), base + i, s, s->gen};
-    // Once one key lands past the horizon, every later one does too
-    // (ascending times, and the re-anchor branch needs an empty queue):
-    // append those raw and restore the heap invariant once at the end.
-    // Safe because KeyLater is a total order, so the pop sequence does not
-    // depend on the heap's internal layout.
-    if (deferred || (k.at >= horizon() && !queue_empty())) {
-      overflow_.push_back(k);
-      ++live_;
-      ++lane_inserts_.heap;
-      deferred = true;
-    } else {
-      insert(k);
-    }
-  }
-  if (deferred) std::make_heap(overflow_.begin(), overflow_.end(), KeyLater{});
-  return base;
-}
-
 void Simulator::arm_timer(Slot* slot, TimePoint t) {
   // Validate before consuming a ticket: a caller that catches the error and
   // continues must not find the FIFO numbering shifted (schedule_at makes

@@ -86,11 +86,11 @@ class Link;
 /// so every counter and the later event sequence are the merged loop's.
 class Simulator {
  public:
-  // Sized for the largest capture left: the keyed-batch record closure of
-  // SimProbeChannel (its `this` plus a 24 B ProbeRecord). Packets in flight
-  // wait in delay lines (links, TCP ACKs), not in closures, so a slot is
-  // 80 B. SmallFunction rejects larger captures at compile time rather than
-  // silently allocating.
+  // 32 B of capture: the largest in src/ is 16 B (an RttProber reply, its
+  // `this` and a sequence number). Packets in flight wait in delay lines
+  // (links, TCP ACKs) and probe accounting points in SimProbeChannel's
+  // keyed batch, not in closures, so a slot is 80 B. SmallFunction rejects
+  // larger captures at compile time rather than silently allocating.
   using Callback = SmallFunction<32>;
 
   class TimerHandle;
@@ -153,22 +153,6 @@ class Simulator {
     seq_ += n;
     return seq_ - n + 1;
   }
-
-  /// One event of a schedule_batch call.
-  struct BatchEvent {
-    TimePoint at;
-    Callback cb;
-  };
-
-  /// Bulk-insert `entries` (time-ascending, none in the past) under one
-  /// internal reserve_fifo_tickets block, returning the first ticket.
-  /// Equal-timestamp ordering within the batch follows entry order; against
-  /// foreign events it is exactly as if every entry had been scheduled at
-  /// the call instant. Because entries arrive presorted, near keys append
-  /// to the fast lane without sorted-insert churn and keys past the horizon
-  /// are heapified once at the end instead of sift-up per key — the
-  /// fleet-start path of the batched probe bursts (docs/ENGINE.md).
-  std::uint64_t schedule_batch(std::vector<BatchEvent> entries);
 
   /// Run a single event; returns false if the queue is empty.
   bool run_next();

@@ -1,5 +1,7 @@
 #include "tcp/bulk.hpp"
 
+#include <vector>
+
 #include "sim/monitor.hpp"
 
 namespace pathload::tcp {
@@ -31,7 +33,9 @@ core::BulkTransferOutcome run_bulk_transfer(sim::Simulator& sim, sim::Path& path
   outcome.fast_retransmits = conn.sender().fast_retransmits();
   outcome.timeouts = conn.sender().timeouts();
   outcome.rtt_samples_secs = conn.sender().rtt_samples_secs();
-  for (const auto& s : conn.sender().rate_sampler().samples()) {
+  const std::vector<RateSample>& samples = conn.sender().rate_sampler().samples();
+  outcome.rate_samples.reserve(samples.size());
+  for (const auto& s : samples) {
     core::DeliveryRateSample out;
     out.rate_mbps = s.delivery_rate.mbits_per_sec();
     out.interval_s = s.interval.secs();

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "fluid/fluid_model.hpp"
@@ -164,6 +168,179 @@ TEST(FluidLink, BacklogDelayTracksTheWorkload) {
   EXPECT_NEAR(link.backlog_delay().secs(), 0.5e-3, 1e-9);
   sim.run_for(Duration::milliseconds(10));
   EXPECT_EQ(link.backlog_delay(), Duration::zero());
+}
+
+/// The fluid recursion Link documents, with every quotient computed afresh
+/// at every step: the reference for the quotients Link keeps (W's drift,
+/// its ceiling, the last packet size's transmission time).
+class FluidReference {
+ public:
+  FluidReference(Rate capacity, Duration prop, DataSize buffer)
+      : capacity_{capacity}, prop_{prop}, buffer_{buffer} {}
+
+  void add_rate(TimePoint now, Rate delta) {
+    settle(now);
+    rate_ = std::max(0.0, rate_ + delta.bits_per_sec());
+  }
+  std::optional<TimePoint> transit(TimePoint at, DataSize size) {
+    settle(at);
+    const Duration tx = capacity_.transmission_time(size);
+    if (capacity_.bytes_in(Duration::seconds(work_)) + size > buffer_) {
+      ++drops_;
+      return std::nullopt;
+    }
+    const Duration wait = Duration::seconds(work_) + tx;
+    work_ += tx.secs();
+    packet_bytes_ += size;
+    return at + (wait + prop_);
+  }
+  std::int64_t bytes_forwarded(TimePoint now) const {
+    const double dt = std::max(0.0, (now - last_).secs());
+    const double fluid = bytes_ + std::min(rate_, capacity_.bits_per_sec()) * dt / 8.0;
+    return packet_bytes_.byte_count() + static_cast<std::int64_t>(fluid);
+  }
+  Duration backlog_delay(TimePoint now) const {
+    const double dt = std::max(0.0, (now - last_).secs());
+    return Duration::seconds(
+        std::max(0.0, work_ + dt * (rate_ / capacity_.bits_per_sec() - 1.0)));
+  }
+  std::uint64_t drops() const { return drops_; }
+
+ private:
+  void settle(TimePoint now) {
+    const double dt = (now - last_).secs();
+    if (dt <= 0.0) return;
+    const double cap = capacity_.bits_per_sec();
+    bytes_ += std::min(rate_, cap) * dt / 8.0;
+    work_ += dt * (rate_ / cap - 1.0);
+    work_ = std::max(0.0, work_);
+    work_ = std::min(work_, capacity_.transmission_time(buffer_).secs());
+    last_ = now;
+  }
+
+  Rate capacity_;
+  Duration prop_;
+  DataSize buffer_;
+  double rate_{0.0};
+  double work_{0.0};
+  double bytes_{0.0};
+  TimePoint last_{};
+  DataSize packet_bytes_{};
+  std::uint64_t drops_{0};
+};
+
+/// Records each delivered packet's time by its seq.
+class SeqCollector final : public PacketHandler {
+ public:
+  explicit SeqCollector(Simulator& sim) : sim_{sim} {}
+  void handle(const Packet& p) override { at[p.seq] = sim_.now(); }
+  std::map<std::uint32_t, TimePoint> at;
+
+ private:
+  Simulator& sim_;
+};
+
+TEST(FluidLink, BurstKernelMatchesPacketAtATimeAndTheReference) {
+  // One packet sequence fed to twin fluid links: one packet at a time
+  // through handle() on one, as serve_fluid_burst bursts on the other,
+  // and to the recursion recomputed from scratch. Rates change between
+  // bursts (the fluid once oversubscribes the link, so the workload pins
+  // at the buffer and packets are drop-tailed), and the packet size
+  // changes in the middle of two bursts (the burst twin serves such a
+  // burst as two back to back).
+  const Rate capacity = Rate::mbps(10);
+  const Duration prop = Duration::milliseconds(3);
+  const DataSize buffer = DataSize::bytes(20'000);
+  struct Burst {
+    double rate_at_ms;
+    double delta_mbps;
+    double first_ms;
+    double gap_ms;
+    int count;
+    std::int32_t size;
+    std::int32_t size_after;  // from packet count / 2 on
+  };
+  const Burst bursts[] = {
+      {0.0, 4.0, 1.0, 0.5, 12, 1000, 400},
+      {20.0, 16.0, 60.0, 0.2, 8, 1500, 1500},
+      {100.0, -18.0, 100.5, 1.0, 10, 700, 1200},
+      {150.0, 3.0, 160.0, 0.3, 6, 1200, 1200},
+  };
+  const TimePoint end = TimePoint::origin() + Duration::milliseconds(250);
+
+  Simulator sim_a;
+  Link a{sim_a, "a", capacity, prop, buffer};
+  a.enable_fluid_mode();
+  SeqCollector out_a{sim_a};
+  a.set_downstream(&out_a);
+  Simulator sim_b;
+  Link b{sim_b, "b", capacity, prop, buffer};
+  b.enable_fluid_mode();
+  SeqCollector out_b{sim_b};
+  b.set_downstream(&out_b);
+  FluidReference ref{capacity, prop, buffer};
+
+  std::vector<Packet> packets_a;  // handle()'s twin's, by seq
+  std::map<std::uint32_t, TimePoint> want;  // the reference's deliveries
+  std::map<std::uint32_t, TimePoint> burst_at;
+  std::uint32_t seq = 0;
+  for (std::size_t k = 0; k < std::size(bursts); ++k) {
+    const Burst& u = bursts[k];
+    const TimePoint change = TimePoint::origin() + Duration::milliseconds(u.rate_at_ms);
+    const Rate delta = Rate::mbps(u.delta_mbps);
+    sim_a.schedule_at(change, [&a, delta] { a.add_fluid_rate(delta); });
+    sim_b.run_until(change);
+    b.add_fluid_rate(delta);
+    ref.add_rate(change, delta);
+
+    std::vector<Link::BurstHop> arrivals;
+    std::int32_t size = u.size;
+    const auto serve = [&] {
+      Packet proto = make_packet(sim_b, size);
+      std::vector<Link::BurstHop> launched;
+      b.serve_fluid_burst(proto, arrivals, launched);
+      for (const Link::BurstHop& l : launched) burst_at[l.seq] = l.at;
+      arrivals.clear();
+    };
+    for (int i = 0; i < u.count; ++i, ++seq) {
+      if (i == u.count / 2 && u.size_after != size) {
+        serve();
+        size = u.size_after;
+      }
+      const TimePoint at =
+          TimePoint::origin() + Duration::milliseconds(u.first_ms + i * u.gap_ms);
+      packets_a.push_back(make_packet(sim_a, size));
+      packets_a.back().seq = seq;
+      sim_a.schedule_at(at, [&a, &packets_a, seq] { a.handle(packets_a[seq]); });
+      arrivals.push_back(Link::BurstHop{at, seq});
+      if (const auto delivery = ref.transit(at, DataSize::bytes(size))) want[seq] = *delivery;
+    }
+    serve();
+
+    // Both twins and the reference at one instant past the burst.
+    const TimePoint probe = k + 1 < std::size(bursts)
+                                ? TimePoint::origin() +
+                                      Duration::milliseconds(bursts[k + 1].rate_at_ms - 0.001)
+                                : end;
+    sim_a.run_until(probe);
+    sim_b.run_until(probe);
+    SCOPED_TRACE("after burst " + std::to_string(k));
+    EXPECT_EQ(a.bytes_forwarded().byte_count(), ref.bytes_forwarded(probe));
+    EXPECT_EQ(b.bytes_forwarded().byte_count(), ref.bytes_forwarded(probe));
+    EXPECT_EQ(a.backlog_delay(), ref.backlog_delay(probe));
+    EXPECT_EQ(b.backlog_delay(), ref.backlog_delay(probe));
+  }
+
+  EXPECT_EQ(out_a.at, want);
+  EXPECT_EQ(burst_at, want);
+  EXPECT_TRUE(out_b.at.empty());  // a burst hands nothing on
+  EXPECT_EQ(ref.drops(), 9u);  // the whole second burst, the third one's first
+  EXPECT_EQ(a.drops(), ref.drops());
+  EXPECT_EQ(b.drops(), ref.drops());
+  EXPECT_EQ(a.drops_for_flow(1), ref.drops());
+  EXPECT_EQ(b.drops_for_flow(1), ref.drops());
+  EXPECT_EQ(a.packets_forwarded(), want.size());
+  EXPECT_EQ(b.packets_forwarded(), want.size());
 }
 
 TEST(FluidTraffic, ConstantSourceAccountsOfferedBytes) {

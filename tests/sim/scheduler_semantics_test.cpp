@@ -13,6 +13,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -244,15 +245,6 @@ class ReferenceHeap {
     seq_ += n;
     return seq_ - n + 1;
   }
-  /// One reserved ticket block, entry i taking ticket base + i.
-  void batch(const std::vector<std::int64_t>& ats, int first_tag) {
-    const std::uint64_t base = seq_ + 1;
-    seq_ += ats.size();
-    for (std::size_t i = 0; i < ats.size(); ++i) {
-      push(Ev{ats[i], base + i, first_tag + static_cast<int>(i), kNoTimer, 0});
-    }
-    live_ += ats.size();
-  }
   /// Pops the earliest live event with timestamp <= `limit`.
   bool run_next(std::int64_t& now, int& tag,
                 std::int64_t limit = std::numeric_limits<std::int64_t>::max()) {
@@ -380,7 +372,7 @@ TEST(SchedulerSemantics, ReplayMatchesReferenceHeapOrder) {
 // ---------------------------------------------------------------------------
 // Differential test of the whole scheduling surface against ReferenceHeap:
 // one-shot events, timer re-arm and cancel, counted-timer re-arm and
-// release, schedule_batch (including entries at `now` while the queue is
+// release, keyed batches (including entries at `now` while the queue is
 // non-empty), run_until slices that stop short of a key and advance the
 // clock across idle gaps, and (optionally) fast_forward on a quiescent
 // queue. Gaps cover every lane: the current bucket, the ring, the second
@@ -396,6 +388,13 @@ TEST(SchedulerSemantics, ReplayMatchesReferenceHeapOrder) {
 // them the way the engine ran them before link entries: a timer per
 // source, per link service and per delay-line front, armed with the
 // ticket reserved where the link or source reserves it.
+//
+// A keyed batch is SimProbeChannel's: a block of tickets reserved at once,
+// entry i taking ticket base + i, and one timer that fires the entries in
+// order, re-arming itself from its own callback. The reference arms every
+// entry upfront, each on a timer of its own with its reserved ticket. The
+// engine then holds one key per open batch where the reference holds one
+// per entry left, so pending() is compared only where no batch is open.
 
 /// The queue operations of an OpStream, over the engine or the reference.
 class Backend {
@@ -408,7 +407,10 @@ class Backend {
   virtual void arm_counted(std::size_t timer, std::int64_t at) = 0;
   /// Release the counted timer's handle, then make a fresh one in its place.
   virtual void release_counted(std::size_t timer) = 0;
+  /// A keyed batch: entry i at `ats[i]` (ascending) fires tag first_tag + i.
   virtual void batch(const std::vector<std::int64_t>& ats, int first_tag) = 0;
+  /// Whether an entry of a keyed batch is still to fire.
+  virtual bool batch_open() const = 0;
   virtual void run_until(std::int64_t t) = 0;
   /// reserve_fifo_tickets(n), then fast_forward(t, n).
   virtual void fast_forward(std::int64_t t, std::uint64_t n) = 0;
@@ -461,6 +463,9 @@ int deliver_tag(std::size_t link, int id) {
 /// One trace entry: the clock, the tag that fired, and the events processed
 /// so far -- which also counts the counted timers' no-op events before it.
 using TraceEntry = std::tuple<std::int64_t, int, std::uint64_t>;
+/// pending() at the end of a slice with no keyed batch open, and the trace
+/// entry it follows.
+using PendingSample = std::pair<std::size_t, std::size_t>;
 
 /// Runs a deterministic pseudo-random operation stream against a
 /// Backend. Each operation's draws depend only on the trace so far, so two
@@ -472,6 +477,7 @@ class OpStream {
 
   void attach(Backend& q) { q_ = &q; }
   const std::vector<TraceEntry>& trace() const { return trace_; }
+  const std::vector<PendingSample>& pendings() const { return pendings_; }
 
   /// A gap sized for one lane, drawn at random. The lane a key lands in
   /// also depends on the window's position, so the sizes are approximate.
@@ -523,6 +529,7 @@ class OpStream {
     }
     q_->run_until(q_->now() + gap());
     trace_.emplace_back(q_->now(), kSliceMark, q_->processed());
+    if (!q_->batch_open()) pendings_.emplace_back(trace_.size(), q_->pending());
     return true;
   }
 
@@ -593,6 +600,7 @@ class OpStream {
   bool quiet_{false};  // chains end instead of scheduling their successor
   int next_tag_{0};
   std::vector<TraceEntry> trace_;
+  std::vector<PendingSample> pendings_;
 };
 
 class ReferenceBackend final : public Backend {
@@ -613,8 +621,14 @@ class ReferenceBackend final : public Backend {
   }
   void release_counted(std::size_t timer) override { ref_.release_counted(timer); }
   void batch(const std::vector<std::int64_t>& ats, int first_tag) override {
-    ref_.batch(ats, first_tag);
+    const std::uint64_t base = ref_.reserve(ats.size());
+    for (std::size_t i = 0; i < ats.size(); ++i) {
+      const int tag = first_tag + static_cast<int>(i);
+      ref_.arm_ticket(kBatchTimer + batch_entries_++, ats[i], base + i, tag);
+      batch_tags_.insert(tag);
+    }
   }
+  bool batch_open() const override { return !batch_tags_.empty(); }
   void run_until(std::int64_t t) override {
     int tag = 0;
     while (ref_.run_next(now_, tag, t)) {
@@ -660,6 +674,7 @@ class ReferenceBackend final : public Backend {
   static constexpr std::size_t kServiceTimer = 100;
   static constexpr std::size_t kDeliveryTimer = 110;
   static constexpr std::size_t kSourceTimer = 120;
+  static constexpr std::size_t kBatchTimer = 1000;  // one per batch entry
   static constexpr int kServiceTag = -5000;
   static constexpr int kDeliveryTag = -6000;
   static constexpr int kSourceTag = -7000;
@@ -691,6 +706,7 @@ class ReferenceBackend final : public Backend {
     } else if (tag <= kServiceTag && tag > kServiceTag - 100) {
       finish_service(static_cast<std::size_t>(kServiceTag - tag));
     } else {
+      batch_tags_.erase(tag);
       ops_.on_fire(tag);
     }
   }
@@ -767,6 +783,8 @@ class ReferenceBackend final : public Backend {
   std::uint64_t noops_{0};
   RefLink links_[kDiffLinks];
   bool running_[kDiffSources]{};
+  std::size_t batch_entries_{0};
+  std::set<int> batch_tags_;  // of the batch entries still to fire
 };
 
 class EngineBackend final : public Backend {
@@ -812,13 +830,24 @@ class EngineBackend final : public Backend {
   }
   void release_counted(std::size_t timer) override { counted_[timer] = make_counted(timer); }
   void batch(const std::vector<std::int64_t>& ats, int first_tag) override {
-    std::vector<Simulator::BatchEvent> entries;
-    for (std::size_t i = 0; i < ats.size(); ++i) {
-      const int tag = first_tag + static_cast<int>(i);
-      entries.push_back({TimePoint::from_nanos(ats[i]),
-                         Simulator::Callback{[this, tag] { ops_.on_fire(tag); }}});
+    auto it = std::find_if(chains_.begin(), chains_.end(),
+                           [](const std::unique_ptr<Chain>& c) { return !c->open(); });
+    if (it == chains_.end()) {
+      chains_.push_back(std::make_unique<Chain>());
+      Chain* c = chains_.back().get();
+      c->timer = sim_.make_timer([this, c] { fire(*c); });
+      it = chains_.end() - 1;
     }
-    sim_.schedule_batch(std::move(entries));
+    Chain& c = **it;
+    c.ats = ats;
+    c.first_tag = first_tag;
+    c.next = 0;
+    c.base = sim_.reserve_fifo_tickets(static_cast<std::uint32_t>(ats.size()));
+    c.timer.schedule_at(TimePoint::from_nanos(ats[0]), c.base);
+  }
+  bool batch_open() const override {
+    return std::any_of(chains_.begin(), chains_.end(),
+                       [](const std::unique_ptr<Chain>& c) { return c->open(); });
   }
   void run_until(std::int64_t t) override { sim_.run_until(TimePoint::from_nanos(t)); }
   void fast_forward(std::int64_t t, std::uint64_t n) override {
@@ -859,6 +888,23 @@ class EngineBackend final : public Backend {
     return sim_.make_counted_timer([this, tag] { ops_.on_fire(tag); });
   }
 
+  /// One keyed batch: its entries, its ticket block and the next to fire.
+  struct Chain {
+    Simulator::TimerHandle timer;
+    std::vector<std::int64_t> ats;
+    int first_tag{0};
+    std::uint64_t base{0};
+    std::size_t next{0};
+    bool open() const { return next < ats.size(); }
+  };
+  void fire(Chain& c) {
+    const int tag = c.first_tag + static_cast<int>(c.next);
+    if (++c.next < c.ats.size()) {
+      c.timer.schedule_at(TimePoint::from_nanos(c.ats[c.next]), c.base + c.next);
+    }
+    ops_.on_fire(tag);
+  }
+
   /// Traces what a link hands it (or, as kDiffLinks, the loose source's
   /// emissions).
   struct Receiver final : PacketHandler {
@@ -885,6 +931,7 @@ class EngineBackend final : public Backend {
   std::vector<std::unique_ptr<Link>> links_;
   std::vector<std::unique_ptr<CrossTrafficSource>> sources_;
   bool running_[kDiffSources]{};
+  std::vector<std::unique_ptr<Chain>> chains_;  // keyed batches, reused once closed
 };
 
 void expect_matches_reference(bool fast_forwards, bool links = false) {
@@ -910,6 +957,8 @@ void expect_matches_reference(bool fast_forwards, bool links = false) {
     }
     ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
     EXPECT_EQ(engine.sim().events_processed(), ref.processed()) << "seed " << seed;
+    EXPECT_EQ(ops.pendings(), ref_ops.pendings()) << "seed " << seed;
+    EXPECT_FALSE(ops.pendings().empty()) << "seed " << seed;
     // Counted timers left stale occurrences behind, and each one counted.
     EXPECT_GT(ref.noops(), 0u) << "seed " << seed;
     // Every lane was exercised, so a bug in any of them shows in the trace.

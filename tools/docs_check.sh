@@ -22,7 +22,10 @@
 #      docs/FUZZING.md;
 #   9. both engine-contract versions (v1 and v2, the values the spec
 #      parser accepts for `engine =`) are documented in docs/ENGINE.md
-#      and in docs/SCENARIOS.md's key reference.
+#      and in docs/SCENARIOS.md's key reference;
+#  10. every backticked qualified name (`Name::member`, `ns::Name`; std::
+#      excluded) names an identifier present in src/: its last component
+#      appears there as a word, so a renamed or deleted member is caught.
 #
 # Usage: docs_check.sh <repo_root> <scenario_runner_binary> [scenario_fuzz_binary]
 
@@ -196,8 +199,21 @@ else
   done
 fi
 
+# --- 10. qualified names exist in src/ -----------------------------------------
+qualified=0
+for doc in "${docs[@]}"; do
+  [ -f "$doc" ] || continue
+  while IFS= read -r ref; do
+    qualified=$((qualified + 1))
+    grep -rqw -- "${ref##*::}" "$root/src" ||
+      err "$(basename "$doc"): '$ref' names nothing in src/"
+  done < <(grep -o '`[^`]*`' "$doc" |
+           grep -oE '[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_~][A-Za-z0-9_]*)+' |
+           grep -v '^std::' | sort -u)
+done
+
 if [ "$fail" -ne 0 ]; then
   echo "docs_check: FAILED" >&2
   exit 1
 fi
-echo "docs_check: OK (${#docs[@]} docs, $(echo "$presets" | wc -w) presets, $(echo "$estimators" | wc -w) estimators)"
+echo "docs_check: OK (${#docs[@]} docs, $(echo "$presets" | wc -w) presets, $(echo "$estimators" | wc -w) estimators, $qualified qualified names)"
