@@ -80,38 +80,48 @@ BENCHMARK(BM_TimerRescheduleInPlace);
 
 // One ACK of a bulk-TCP flow: schedules the next ACK one reverse-path delay
 // (100 ms) out and re-arms the RTO 250 ms out; every RTO arm is superseded
-// by the next ACK's before it is due, so each fires stale and does nothing.
-// Without `rto` the re-arm is a one-shot closure per ACK; with it, the
-// chain's counted timer (Simulator::make_counted_timer), as TcpSender arms.
-struct FarAck {
+// by the next ACK's before it is due, so each falls due stale and does
+// nothing. Without `rto` the re-arm is a one-shot closure per ACK; with it,
+// the chain's counted timer (Simulator::make_counted_timer), as TcpSender
+// arms.
+struct AckChain {
   sim::Simulator* sim;
   std::uint64_t* stale;
-  sim::Simulator::TimerHandle* rto;
+  sim::Simulator::CountedTimer* rto;
+};
+
+struct FarAck {
+  AckChain* chain;
   void operator()() const {
-    sim->schedule_in(Duration::milliseconds(100), FarAck{*this});
-    if (rto != nullptr) {
-      rto->schedule_in(Duration::milliseconds(250));
+    chain->sim->schedule_in(Duration::milliseconds(100), FarAck{chain});
+    if (chain->rto != nullptr) {
+      chain->rto->schedule_in(Duration::milliseconds(250));
     } else {
-      sim->schedule_in(Duration::milliseconds(250), [s = stale] { ++*s; });
+      chain->sim->schedule_in(Duration::milliseconds(250), [s = chain->stale] { ++*s; });
     }
   }
 };
 
 void BM_FarEventChurn(benchmark::State& state) {
   // Far-future churn: 128 ACK chains spread over one 100 ms round keep ~450
-  // keys pending, every one scheduled past the 33.6 ms ring -- the key
-  // pattern of the bulk-TCP workloads, which the second level serves. Arg 0
-  // re-arms the RTO with a closure per ACK, arg 1 with one counted timer
-  // per chain; both fire the same events.
+  // events pending, every one due past the 33.6 ms ring. Arg 0 re-arms the
+  // RTO with a closure per ACK, so the calendar's second level holds the
+  // ACK and RTO keys, as it did for bulk TCP before counted timers became
+  // entries; arg 1 with one counted timer per chain, whose live arm is an
+  // entry and whose superseded arms wait in its line, counted as they fall
+  // due. Both fire the same events.
   sim::Simulator sim;
   std::uint64_t stale = 0;
-  std::vector<sim::Simulator::TimerHandle> rtos;  // destroyed before sim
+  std::vector<sim::Simulator::CountedTimer> rtos;  // destroyed before sim
   if (state.range(0) == 1) {
     for (int i = 0; i < 128; ++i) rtos.push_back(sim.make_counted_timer([] {}));
   }
+  std::vector<AckChain> chains;
+  chains.reserve(128);
   for (std::size_t i = 0; i < 128; ++i) {
+    chains.push_back(AckChain{&sim, &stale, rtos.empty() ? nullptr : &rtos[i]});
     sim.schedule_in(Duration::nanoseconds(781'250 * static_cast<std::int64_t>(i)),
-                    FarAck{&sim, &stale, rtos.empty() ? nullptr : &rtos[i]});
+                    FarAck{&chains.back()});
   }
   for (auto _ : state) {
     for (int i = 0; i < 1000; ++i) sim.run_next();

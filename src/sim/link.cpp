@@ -244,16 +244,12 @@ void Link::launch(const Packet& p, Duration delay) {
   // by (at, ticket). Its ticket is the newest, so it stays behind entries
   // with the same time.
   if (drops_hop_local_ && !p.transit) {
-    RingBuffer<Simulator::EventKey>& line = entry_.local;
     const Simulator::EventKey key = Simulator::event_key(TimePoint::from_nanos(at), ticket);
     if (key < sim_.count_locals_before_) {
       sim_.count_local();
       return;
     }
-    line.push_back(key);
-    std::size_t i = line.size() - 1;
-    for (; i > 0 && key < line[i - 1]; --i) line[i] = line[i - 1];
-    line[i] = key;
+    entry_.add_local(key);
     return;
   }
   const InFlight e{at, ticket, downstream_, p};

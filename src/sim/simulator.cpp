@@ -14,8 +14,6 @@ Simulator::Simulator() {
   cur_.reserve(64);
   pool_.reserve(kPoolReserve);
   entries_.reserve(8);
-  noop_.cb = [] {};
-  noop_.persistent = true;
 }
 
 Simulator::~Simulator() = default;
@@ -43,20 +41,17 @@ Simulator::Slot* Simulator::alloc_slot() {
   return &slab_.back()[slab_used_++];
 }
 
-Simulator::Slot* Simulator::alloc_timer_slot(Callback cb, bool counted) {
+Simulator::Slot* Simulator::alloc_timer_slot(Callback cb) {
   Slot* s = alloc_slot();
   s->cb = std::move(cb);
   s->persistent = true;
   s->armed = false;
-  // Setting or clearing the flag moves the generation by one; free_slot
-  // stepped it by two, so no key still queued for this slot matches it.
-  s->gen = (s->gen & ~kCountedGen) | (counted ? kCountedGen : 0);
   return s;
 }
 
 void Simulator::free_slot(Slot* s) {
   s->cb = Callback{};
-  s->gen += kGenStep;  // invalidates any key still referencing this slot
+  ++s->gen;  // invalidates any key still referencing this slot
   s->persistent = false;
   s->armed = false;
   s->firing = false;
@@ -138,10 +133,9 @@ void Simulator::arm_validated(Slot* slot, TimePoint t, std::uint64_t ticket) {
 
 void Simulator::disarm_timer(Slot* slot) {
   if (slot->armed) {
-    slot->gen += kGenStep;
+    ++slot->gen;
     slot->armed = false;
-    // A counted timer's dropped occurrence stays an event (see peek_next).
-    if ((slot->gen & kCountedGen) == 0) --live_;
+    --live_;
   }
 }
 
@@ -325,9 +319,8 @@ inline Simulator::EventKey Simulator::peek_next(LinkEntry*& entry) {
   for (;;) {
     if (cur_head_ < cur_.size()) {
       const Key& k = cur_[cur_head_];
-      // A stale key is skipped lazily, unless it belongs to a counted
-      // timer: that is still an event, one that runs nothing.
-      if (k.slot->gen != k.gen && (k.gen & kCountedGen) == 0) [[unlikely]] {
+      // A stale key is skipped lazily.
+      if (k.slot->gen != k.gen) [[unlikely]] {
         ++cur_head_;
         continue;
       }
@@ -348,8 +341,7 @@ inline Simulator::EventKey Simulator::peek_next(LinkEntry*& entry) {
 
 void Simulator::fire_calendar(EventKey key) {
   settle(key);
-  Key k = cur_[cur_head_++];
-  if (k.slot->gen != k.gen) k = Key{k.at, k.seq, &noop_, noop_.gen};  // counted, stale
+  const Key k = cur_[cur_head_++];
   --live_;
   now_ = TimePoint::from_nanos(k.at);
   ++processed_;
@@ -405,9 +397,7 @@ Simulator::EventKey Simulator::calendar_floor() const {
   if (live_ == 0) return kNoEvent;
   for (std::size_t i = cur_head_; i < cur_.size(); ++i) {
     const Key& k = cur_[i];
-    if (k.slot->gen == k.gen || (k.gen & kCountedGen) != 0) {
-      return event_key(TimePoint::from_nanos(k.at), k.seq);
-    }
+    if (k.slot->gen == k.gen) return event_key(TimePoint::from_nanos(k.at), k.seq);
   }
   // The start of the first occupied bucket, block or the heap's top: stale
   // keys there only make the bound lower.
@@ -438,8 +428,9 @@ bool Simulator::run_decoupled(EventKey limit) {
   const std::int64_t end = static_cast<std::int64_t>(first >> 64) + kDecoupledChunk;
   limit = std::min(limit, event_key(TimePoint::from_nanos(end), 0) - 1);
   // Decline unless nothing up to the limit couples the links: no calendar
-  // event, no emission of a source that feeds no link, and no link holding
-  // a packet that could reach another link or an observer.
+  // event, no live counted arm, no emission of a source that feeds no link,
+  // and no link holding a packet that could reach another link or an
+  // observer. Counted timers' stale arms run nothing: settle counts them.
   if (calendar_floor() <= limit) return false;
   for (const Registered& r : entries_) {
     const Link* link = r.entry->link;
@@ -623,8 +614,19 @@ void Simulator::retire_due(LinkEntry& e, EventKey before) {
     ++n;
   }
   processed_ += n;
+  if (&e == timers_.get()) {
+    count_timers();
+    return;
+  }
   link_events_ += n;
   count_pending(e);
+}
+
+void Simulator::count_timers() {
+  LinkEntry& e = *timers_;
+  const std::size_t pending = armed_.size() + e.local.size();
+  entry_live_ += pending - e.pending;
+  e.pending = pending;
 }
 
 void Simulator::settle(EventKey before) {
@@ -648,6 +650,10 @@ void Simulator::fire_entry(LinkEntry& e) {
   const EventKey key = e.next;
   now_ = TimePoint::from_nanos(static_cast<std::int64_t>(key >> 64));
   ++processed_;
+  if (e.kind == LinkEntry::Kind::kTimer) {
+    fire_timer(key);
+    return;
+  }
   ++link_events_;
   switch (e.kind) {
     case LinkEntry::Kind::kService:
@@ -668,6 +674,7 @@ void Simulator::fire_entry(LinkEntry& e) {
       }
       break;
     case LinkEntry::Kind::kNone:
+    case LinkEntry::Kind::kTimer:
       break;
   }
 }
@@ -681,7 +688,7 @@ void Simulator::unregister_entry(LinkEntry& e) {
   entries_[e.index] = entries_.back();
   entries_[e.index].entry->index = e.index;
   entries_.pop_back();
-  link_live_ -= e.pending;
+  entry_live_ -= e.pending;
   rescan_ = true;
 }
 
@@ -691,6 +698,124 @@ Simulator::LinkEntry& Simulator::loose_entry() {
     register_entry(*loose_);
   }
   return *loose_;
+}
+
+Simulator::CountedSlot* Simulator::alloc_counted_slot(Callback cb) {
+  if (timers_ == nullptr) {
+    timers_ = std::make_unique<LinkEntry>();
+    register_entry(*timers_);
+  }
+  CountedSlot* s = nullptr;
+  if (!free_counted_.empty()) {
+    s = free_counted_.back();
+    free_counted_.pop_back();
+  } else {
+    counted_slots_.push_back(std::make_unique<CountedSlot>());
+    s = counted_slots_.back().get();
+  }
+  s->cb = std::move(cb);
+  return s;
+}
+
+void Simulator::arm_timer(CountedSlot& s, TimePoint t) {
+  if (t < now_) throw_past(t, now_);
+  arm_validated(s, t, ++seq_);
+}
+
+void Simulator::arm_timer(CountedSlot& s, TimePoint t, std::uint64_t ticket) {
+  if (t < now_) throw_past(t, now_);
+  arm_validated(s, t, ticket);
+}
+
+void Simulator::arm_validated(CountedSlot& s, TimePoint t, std::uint64_t ticket) {
+  if (s.at != kNoEvent) {
+    timers_->add_local(s.at);  // the replaced arm stays an event that runs nothing
+  } else {
+    s.heap_pos = armed_.size();
+    armed_.push_back(&s);
+  }
+  s.at = event_key(t, ticket);
+  sift_armed(s.heap_pos);
+  refresh_timers();
+}
+
+void Simulator::disarm_timer(CountedSlot& s) {
+  if (s.at == kNoEvent) return;
+  timers_->add_local(s.at);
+  unarm(s);
+  refresh_timers();
+}
+
+void Simulator::release_timer(CountedSlot& s) {
+  disarm_timer(s);
+  if (s.firing) {
+    // Released from inside its own callback, whose closure lives in this
+    // slot: recycle it once the callback returns (fire_timer).
+    s.zombie = true;
+    return;
+  }
+  recycle(s);
+}
+
+void Simulator::recycle(CountedSlot& s) {
+  s.cb = Callback{};
+  s.firing = false;
+  s.zombie = false;
+  free_counted_.push_back(&s);
+}
+
+void Simulator::sift_armed(std::size_t i) {
+  CountedSlot* const s = armed_[i];
+  while (i > 0 && s->at < armed_[(i - 1) / 2]->at) {
+    armed_[i] = armed_[(i - 1) / 2];
+    armed_[i]->heap_pos = i;
+    i = (i - 1) / 2;
+  }
+  for (;;) {
+    std::size_t child = 2 * i + 1;
+    if (child >= armed_.size()) break;
+    if (child + 1 < armed_.size() && armed_[child + 1]->at < armed_[child]->at) ++child;
+    if (!(armed_[child]->at < s->at)) break;
+    armed_[i] = armed_[child];
+    armed_[i]->heap_pos = i;
+    i = child;
+  }
+  armed_[i] = s;
+  s->heap_pos = i;
+}
+
+void Simulator::unarm(CountedSlot& s) {
+  CountedSlot* const last = armed_.back();
+  armed_.pop_back();
+  if (last != &s) {
+    armed_[s.heap_pos] = last;
+    last->heap_pos = s.heap_pos;
+    sift_armed(s.heap_pos);
+  }
+  s.at = kNoEvent;
+}
+
+void Simulator::refresh_timers() {
+  count_timers();
+  LinkEntry& e = *timers_;
+  const EventKey next = armed_.empty() ? kNoEvent : armed_.front()->at;
+  if (next == e.next) return;  // most re-arms move a later arm
+  e.next = next;
+  e.kind = next == kNoEvent ? LinkEntry::Kind::kNone : LinkEntry::Kind::kTimer;
+  entries_[e.index].next = next;
+  rescan_ = true;
+}
+
+void Simulator::fire_timer(EventKey key) {
+  settle(key);  // the callback may observe the count
+  CountedSlot& s = *armed_.front();
+  // Disarmed before invoking, so the callback can re-arm its own timer.
+  unarm(s);
+  refresh_timers();
+  s.firing = true;
+  s.cb();
+  s.firing = false;
+  if (s.zombie) recycle(s);
 }
 
 namespace {
@@ -749,9 +874,7 @@ void Simulator::throw_fast_forward(TimePoint t) const {
 std::vector<Simulator::EventKey> Simulator::pending_keys() const {
   std::vector<EventKey> keys;
   const auto put = [&keys](const Key& k) {
-    if (k.slot->gen == k.gen || (k.gen & kCountedGen) != 0) {
-      keys.push_back(event_key(TimePoint::from_nanos(k.at), k.seq));
-    }
+    if (k.slot->gen == k.gen) keys.push_back(event_key(TimePoint::from_nanos(k.at), k.seq));
   };
   const auto put_list = [&](std::uint32_t head) {
     for (std::uint32_t n = head; n != kNil; n = pool_[n].next) put(pool_[n]);
@@ -775,6 +898,7 @@ std::vector<Simulator::EventKey> Simulator::pending_keys() const {
       keys.push_back(event_key(TimePoint::from_nanos(line[i].at), line[i].ticket));
     }
   }
+  for (const CountedSlot* s : armed_) keys.push_back(s->at);
   std::sort(keys.begin(), keys.end());
   return keys;
 }

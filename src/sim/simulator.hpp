@@ -40,10 +40,7 @@ class Link;
 ///  - The second level: 64 blocks of 2^24 ns (~16.8 ms, half the ring
 ///    window) out to a horizon of ~1.07 s. Keys are appended unsorted to
 ///    their block in O(1); when the ring window first covers a whole
-///    block, the block moves into the ring as one unit. This is where a
-///    TCP sender's per-ACK RTO re-arms (200 ms or more out) land, and the
-///    key of a receiver's ACK delay line when the line's front is one
-///    reverse-path delay out.
+///    block, the block moves into the ring as one unit.
 ///  - Only keys past the horizon go to a min-heap, and drain into the
 ///    second level as the horizon moves forward.
 ///
@@ -57,9 +54,7 @@ class Link;
 /// ring's "jump to the next occupied bucket" step never skips a key.
 ///
 /// A key whose generation no longer matches its slot's is stale (its timer
-/// was re-armed, cancelled or released) and is skipped without counting,
-/// unless it belongs to a counted timer (make_counted_timer): then it still
-/// pops as an event that runs nothing.
+/// was re-armed, cancelled or released) and is skipped without counting.
 ///
 /// Every lane pops in the total order by (timestamp, ticket), so the event
 /// sequence is bit-identical to the previous heap scheduler. Degenerate
@@ -68,33 +63,38 @@ class Link;
 /// the old binary heap -- but of trivially movable keys instead of fat
 /// closures.
 ///
-/// The calendar holds one-shot closures, counted timers, and the timers of
-/// every owner but links and renewal sources. Links and the
-/// CrossTrafficSources feeding them are scheduled outside it, in link
-/// entries (LinkEntry): each link registers one when it is built, holding
-/// its sources' emissions, its service completion and its delay line's
-/// front. run_next and run_until fire whichever comes first by (time,
-/// ticket), the calendar's top key or the earliest link entry, so the
-/// event sequence is the one a timer per link event would give
-/// (docs/ENGINE.md, "Link entries").
+/// The calendar holds one-shot closures and plain timers (make_timer).
+/// Links, the CrossTrafficSources feeding them and counted timers are
+/// scheduled outside it, in entries (LinkEntry): each link registers one
+/// when it is built, holding its sources' emissions, its service
+/// completion and its delay line's front, and each counted timer holds one
+/// for its live arm, with its superseded arms in a line of events that run
+/// nothing. run_next and run_until fire whichever comes first by (time,
+/// ticket), the calendar's top key or the earliest entry, so the event
+/// sequence is the one a timer per link event and a key per counted arm
+/// would give (docs/ENGINE.md, "Link entries").
 ///
 /// Between probe streams nothing couples the links of a path: each hop's
-/// cross traffic leaves after one hop. When no calendar key, no source
-/// feeding no link and no transit packet is due, run_until runs each link
-/// alone to the limit on provisional tickets and packet ids, then ranks
-/// them back into the global order (docs/ENGINE.md, "Decoupled links"),
-/// so every counter and the later event sequence are the merged loop's.
+/// cross traffic leaves after one hop. When no calendar key, no live
+/// counted arm, no source feeding no link and no transit packet is due,
+/// run_until runs each link alone to the limit on provisional tickets and
+/// packet ids, then ranks them back into the global order (docs/ENGINE.md,
+/// "Decoupled links"), so every counter and the later event sequence are
+/// the merged loop's. Counted timers' stale arms due meanwhile run nothing
+/// and are counted.
 class Simulator {
  public:
-  // 32 B of capture: the largest in src/ is 16 B (an RttProber reply, its
-  // `this` and a sequence number). Packets in flight wait in delay lines
+  // 16 B of capture: the largest in src/ is an RttProber reply, its
+  // `this` and a sequence number. Packets in flight wait in delay lines
   // (links, TCP ACKs) and probe accounting points in SimProbeChannel's
-  // keyed batch, not in closures, so a slot is 80 B. SmallFunction rejects
+  // keyed batch, not in closures, so a slot is 64 B. SmallFunction rejects
   // larger captures at compile time rather than silently allocating.
-  using Callback = SmallFunction<32>;
+  using Callback = SmallFunction<16>;
 
   class TimerHandle;
+  class CountedTimer;
   struct LinkEntry;
+  struct CountedSlot;
 
   /// An event's (time, ticket) as one integer, time in the high half, so
   /// integer order is the queue's order.
@@ -133,14 +133,18 @@ class Simulator {
 
   /// Create a counted timer: a timer whose every arm is an event. Re-arming
   /// it, cancelling it, or releasing its handle leaves the pending
-  /// occurrence in the queue, where it still pops at its (time, ticket),
+  /// occurrence behind, where it still falls due at its (time, ticket),
   /// advances the clock and counts in events_processed() and
   /// pending_events(), but runs nothing. This is exactly what one
   /// generation-checked one-shot event per arm would do, without a closure
-  /// per arm. TCP's RTO timer and ACK delay line use it, so that their
-  /// event counts stay those of one event per arm and per ACK, also when a
-  /// connection is torn down mid-run. Lifetime as for make_timer.
-  TimerHandle make_counted_timer(Callback cb);
+  /// or a calendar key per arm: every counted timer's live arm waits in one
+  /// min-heap whose top is the key of one entry (LinkEntry), and the
+  /// superseded arms wait in that entry's local line, which run_until
+  /// counts in bulk. TCP's RTO timer and ACK delay line use it,
+  /// so that their event counts stay those of one event per arm and per
+  /// ACK, also when a connection is torn down mid-run. Lifetime as for
+  /// make_timer.
+  CountedTimer make_counted_timer(Callback cb);
 
   /// Reserve `n` consecutive FIFO tie-break tickets, returning the first.
   ///
@@ -189,7 +193,7 @@ class Simulator {
   /// scheduling them, and move the clock to `t`, the last of them. Only
   /// valid on a quiescent queue: throws std::logic_error if any occurrence
   /// that would count as an event is queued (pending_events() != 0,
-  /// counted timers' stale keys and link entries included), or if `t` is
+  /// counted timers' stale arms and link entries included), or if `t` is
   /// in the past. The caller reserves the FIFO tickets the replaced events
   /// would have taken (reserve_fifo_tickets), so later tie-breaks are
   /// unchanged.
@@ -206,8 +210,8 @@ class Simulator {
   /// The closed-form share of events_processed(). Exact and a pure observer.
   std::uint64_t events_resolved() const { return resolved_; }
   /// Scheduled occurrences that will count as events: the calendar's live
-  /// ones plus a counted timer's stale ones, and every link entry's.
-  std::size_t pending_events() const { return live_ + link_live_; }
+  /// keys and every entry's (a counted timer's stale arms included).
+  std::size_t pending_events() const { return live_ + entry_live_; }
 
   /// The share of events_processed() fired from link entries: source
   /// emissions, service completions and deliveries. Exact and a pure
@@ -216,19 +220,22 @@ class Simulator {
 
   /// The share of events_processed() that run_until accounted on its
   /// decoupled path: link events run one link at a time, and the hop-local
-  /// deliveries they launched and counted. Exact and a pure observer.
+  /// deliveries and counted timers' stale arms it counted. Exact and a
+  /// pure observer.
   std::uint64_t decoupled_events() const { return decoupled_events_; }
 
   /// Every pending occurrence that will count as an event, as (time,
-  /// ticket) keys in ascending order: the calendar's live and counted stale
-  /// keys, each source's emission, each link's service end and every packet
-  /// in its delay line and its local line. A pure observer for tests.
+  /// ticket) keys in ascending order: the calendar's live keys, each
+  /// source's emission, each link's service end and every packet in its
+  /// delay line and its local line, and each counted timer's live and stale
+  /// arms. A pure observer for tests.
   std::vector<EventKey> pending_keys() const;
 
   /// Keys scheduled into each lane of the calendar queue, counted where
   /// each key first lands (a later move from heap to second level, or from
-  /// second level to ring, is not counted again). Link entries are not
-  /// lanes: they never enter the calendar. Exact and a pure observer.
+  /// second level to ring, is not counted again). Entries are not lanes:
+  /// link events and counted arms never enter the calendar. Exact and a
+  /// pure observer.
   struct LaneInserts {
     std::uint64_t fast{0};
     std::uint64_t ring{0};
@@ -264,21 +271,16 @@ class Simulator {
   static constexpr std::int64_t kDecoupledChunk = std::int64_t{1} << 27;
   static constexpr std::size_t kLogReserve = 4096;  // events of one chunk
 
-  // Slot generations step by two; bit 0 marks a counted timer's slot. Keys
-  // copy the slot's generation, so a stale key still knows whether it was
-  // counted, and the live-key path never reads the flag.
-  static constexpr std::uint32_t kGenStep = 2;
-  static constexpr std::uint32_t kCountedGen = 1;
-
   struct Slot {
     Callback cb;
     Slot* next_free{nullptr};
-    std::uint32_t gen{0};  // bit 0: counted timer (kCountedGen)
+    std::uint32_t gen{0};  // bumped on disarm and free: older keys are stale
     bool persistent{false};  // timer slot: survives firing
     bool armed{false};       // timer slot: has a live key in the queue
     bool firing{false};      // timer slot: its callback is on the stack
     bool zombie{false};      // released mid-fire: recycle after cb returns
   };
+  static_assert(sizeof(Slot) == 64, "a slab slot fills one cache line");
 
   /// What the queue actually orders: trivially copyable, 32 bytes. The
   /// slot pointer is stable for the life of the occurrence (slab blocks
@@ -305,7 +307,7 @@ class Simulator {
 
   Slot* alloc_slot();
   void free_slot(Slot* s);
-  Slot* alloc_timer_slot(Callback cb, bool counted);
+  Slot* alloc_timer_slot(Callback cb);
   std::int64_t horizon() const { return fine_end_ + kHorizonSpan; }
   bool queue_empty() const {
     return cur_head_ == cur_.size() && ring_count_ == 0 && coarse_count_ == 0 &&
@@ -332,12 +334,14 @@ class Simulator {
   /// Fire the event peek_next found; false if there is none.
   bool fire_at(LinkEntry* e, EventKey key);
 
-  // Link entries: the calendar's peer in run_next and run_until.
+  // Entries: the calendar's peer in run_next and run_until.
   void register_entry(LinkEntry& e);
   void unregister_entry(LinkEntry& e);
   // Inlined into every link event: each is a handful of compares.
   [[gnu::always_inline]] inline void refresh(LinkEntry& e);
   [[gnu::always_inline]] inline void count_pending(LinkEntry& e);
+  /// The counted timers' pending events: each live arm and each stale one.
+  void count_timers();
   LinkEntry* earliest_entry();
   void fire_entry(LinkEntry& e);
   /// Count the entry's local deliveries before `before` as fired events.
@@ -394,6 +398,21 @@ class Simulator {
   void release_timer(Slot* slot);
   friend class TimerHandle;
 
+  // CountedTimer backdoor: the same operations on a counted slot.
+  CountedSlot* alloc_counted_slot(Callback cb);
+  void arm_timer(CountedSlot& s, TimePoint t);
+  void arm_timer(CountedSlot& s, TimePoint t, std::uint64_t ticket);
+  void arm_validated(CountedSlot& s, TimePoint t, std::uint64_t ticket);
+  void disarm_timer(CountedSlot& s);
+  void release_timer(CountedSlot& s);
+  void recycle(CountedSlot& s);
+  // The live arms' heap, ordered by key, and the entry whose key is its top.
+  void sift_armed(std::size_t i);
+  void unarm(CountedSlot& s);
+  void refresh_timers();
+  void fire_timer(EventKey key);
+  friend class CountedTimer;
+
   [[noreturn]] static void throw_past(TimePoint t, TimePoint now);
   [[noreturn]] void throw_fast_forward(TimePoint t) const;
 
@@ -401,8 +420,6 @@ class Simulator {
   std::size_t slab_used_{0};  // slots handed out from the newest block
   std::size_t slab_cap_{0};   // size of the newest block
   Slot* free_head_{nullptr};
-  // What a counted timer's stale key fires: a persistent no-op.
-  Slot noop_;
 
   std::vector<Key> cur_;  // sorted near-future fast lane
   std::size_t cur_head_{0};
@@ -440,8 +457,8 @@ class Simulator {
   std::uint32_t flow_ids_{0};
   std::uint64_t resolved_{0};  // cold: kept behind the per-event counters
 
-  // Every registered link entry, with a copy of its next key: the scan
-  // for the earliest reads one array.
+  // Every registered entry, with a copy of its next key: the scan for the
+  // earliest reads one array.
   struct Registered {
     EventKey next;
     LinkEntry* entry;
@@ -451,7 +468,7 @@ class Simulator {
   // while rescan_ is false; refresh sets it.
   LinkEntry* earliest_{nullptr};
   bool rescan_{false};
-  std::size_t link_live_{0};  // link entries' pending events
+  std::size_t entry_live_{0};  // entries' pending events
   std::uint64_t link_events_{0};
   std::uint64_t decoupled_events_{0};
   // While links run alone: a hop-local delivery launched before this key is
@@ -468,6 +485,14 @@ class Simulator {
   std::vector<LogRecord> log_;
   // Sources built on a handler that is not a Link share this entry.
   std::unique_ptr<LinkEntry> loose_;
+  // Counted timers: the entry (made with the first one) whose key is the
+  // earliest live arm and whose local line holds every stale arm, released
+  // timers' included, until each falls due; the live arms as a min-heap by
+  // key; every slot, and those released and free for reuse.
+  std::unique_ptr<LinkEntry> timers_;
+  std::vector<CountedSlot*> armed_;
+  std::vector<std::unique_ptr<CountedSlot>> counted_slots_;
+  std::vector<CountedSlot*> free_counted_;
 };
 
 /// One link's pending events, scheduled outside the calendar queue: the
@@ -482,8 +507,14 @@ class Simulator {
 /// run_next fires one when it is the earliest event; run_until counts
 /// each one that precedes the event it fires before anything that can
 /// observe the count runs (a calendar event, a delivery handed on, a
-/// source feeding no link), and the rest of the link's own before its
-/// other events.
+/// source feeding no link, a counted timer's callback), and the rest of
+/// the link's own before its other events.
+///
+/// The counted timers share one entry of the same kind: `next` is the
+/// earliest live arm (Kind::kTimer), and each superseded, cancelled or
+/// released arm waits in `local` as an event that runs nothing. There each
+/// live and each stale arm is one pending event; a link's delay line and
+/// local line are one together.
 struct Simulator::LinkEntry {
   struct Emission {
     EventKey key;
@@ -511,15 +542,39 @@ struct Simulator::LinkEntry {
   }
 
   /// Which of the entry's events `next` is.
-  enum class Kind : std::uint8_t { kNone, kService, kDelivery, kEmission };
+  enum class Kind : std::uint8_t { kNone, kService, kDelivery, kEmission, kTimer };
+
+  /// Insert `key` into `local` in order. Keys arrive nearly in order (a
+  /// constant delay, or a timer re-armed a timeout out), so this is almost
+  /// always an append; but a timeout that shrinks after a backoff puts
+  /// each new arm before hundreds of older ones, so the place is found by
+  /// bisection and the keys behind it move in blocks.
+  void add_local(EventKey key) {
+    std::size_t hi = local.size();
+    if (hi == 0 || !(key < local[hi - 1])) {
+      local.push_back(key);
+      return;
+    }
+    std::size_t lo = 0;
+    --hi;  // local[hi] > key
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      if (key < local[mid]) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    local.insert(lo, key);
+  }
 
   EventKey next{kNoEvent};  // the earliest of the three below
   EventKey service{kNoEvent};
   EventKey delivery{kNoEvent};
   std::vector<Emission> emissions;
   RingBuffer<EventKey> local;  // ascending
-  Link* link{nullptr};  // null: the sources that feed no link
-  std::size_t pending{0};  // events counted in link_live_
+  Link* link{nullptr};  // null: the sources that feed no link, or timers
+  std::size_t pending{0};  // events counted in entry_live_
   std::size_t index{0};    // in Simulator::entries_
   Kind kind{Kind::kNone};
   // The decoupled path's current chunk: the link's events in the log,
@@ -532,13 +587,22 @@ struct Simulator::LinkEntry {
   std::uint32_t chunk_ids{0};
 };
 
+/// A counted timer: the callback its live arm runs, and that arm.
+struct Simulator::CountedSlot {
+  Callback cb;
+  EventKey at{kNoEvent};      // the live arm, if any
+  std::size_t heap_pos{0};    // in Simulator::armed_, while armed
+  bool firing{false};  // its callback is on the stack
+  bool zombie{false};  // released mid-fire: recycle after cb returns
+};
+
 inline void Simulator::count_pending(LinkEntry& e) {
   // A delay line is one pending event however many packets it holds, as
   // the one timer armed for its front was.
   const std::size_t pending =
       e.emissions.size() + (e.service != kNoEvent ? 1 : 0) +
       (e.delivery != kNoEvent || !e.local.empty() ? 1 : 0);
-  link_live_ += pending - e.pending;
+  entry_live_ += pending - e.pending;
   e.pending = pending;
 }
 
@@ -568,8 +632,6 @@ inline void Simulator::refresh(LinkEntry& e) {
 ///
 /// At most one occurrence is pending per timer: arming an armed timer
 /// replaces the pending occurrence (reschedule-in-place); `cancel` drops it.
-/// On a counted timer (Simulator::make_counted_timer) the replaced or
-/// dropped occurrence stays queued as an event that runs nothing.
 /// The callback stays in its slab slot for the life of the handle, so
 /// periodic sources pay zero allocation and zero callable moves per period.
 class Simulator::TimerHandle {
@@ -645,12 +707,86 @@ class Simulator::TimerHandle {
   Slot* slot_{nullptr};
 };
 
+/// A re-armable handle to a counted timer (Simulator::make_counted_timer):
+/// as TimerHandle, except that the occurrence a re-arm replaces, a cancel
+/// drops or a release leaves behind is not dropped but becomes an event
+/// that runs nothing, at its own (time, ticket).
+class Simulator::CountedTimer {
+ public:
+  CountedTimer() = default;
+  ~CountedTimer() { release(); }
+
+  CountedTimer(CountedTimer&& o) noexcept : sim_{o.sim_}, slot_{o.slot_} {
+    o.sim_ = nullptr;
+    o.slot_ = nullptr;
+  }
+  CountedTimer& operator=(CountedTimer&& o) noexcept {
+    if (this != &o) {
+      release();
+      sim_ = o.sim_;
+      slot_ = o.slot_;
+      o.sim_ = nullptr;
+      o.slot_ = nullptr;
+    }
+    return *this;
+  }
+  CountedTimer(const CountedTimer&) = delete;
+  CountedTimer& operator=(const CountedTimer&) = delete;
+
+  /// Arm (or re-arm) the timer for absolute time `t` (must not be in the past).
+  void schedule_at(TimePoint t) {
+    require_bound();
+    sim_->arm_timer(*slot_, t);
+  }
+  /// Arm (or re-arm) the timer `d` from now.
+  void schedule_in(Duration d) {
+    require_bound();
+    sim_->arm_timer(*slot_, sim_->now() + d);
+  }
+  /// Arm with a pre-reserved FIFO ticket (see Simulator::reserve_fifo_tickets).
+  void schedule_at(TimePoint t, std::uint64_t ticket) {
+    require_bound();
+    sim_->arm_timer(*slot_, t, ticket);
+  }
+
+  /// Turn the pending occurrence, if any, into an event that runs nothing.
+  void cancel() {
+    if (sim_ != nullptr) sim_->disarm_timer(*slot_);
+  }
+
+  /// True if an occurrence is scheduled and not yet fired.
+  bool pending() const { return sim_ != nullptr && slot_->at != kNoEvent; }
+
+  explicit operator bool() const { return sim_ != nullptr; }
+
+ private:
+  friend class Simulator;
+  CountedTimer(Simulator* sim, CountedSlot* slot) : sim_{sim}, slot_{slot} {}
+
+  void require_bound() const {
+    if (sim_ == nullptr) {
+      throw std::logic_error{"CountedTimer: scheduling on an empty handle"};
+    }
+  }
+
+  void release() {
+    if (sim_ != nullptr) {
+      sim_->release_timer(*slot_);
+      sim_ = nullptr;
+      slot_ = nullptr;
+    }
+  }
+
+  Simulator* sim_{nullptr};
+  CountedSlot* slot_{nullptr};
+};
+
 inline Simulator::TimerHandle Simulator::make_timer(Callback cb) {
-  return TimerHandle{this, alloc_timer_slot(std::move(cb), false)};
+  return TimerHandle{this, alloc_timer_slot(std::move(cb))};
 }
 
-inline Simulator::TimerHandle Simulator::make_counted_timer(Callback cb) {
-  return TimerHandle{this, alloc_timer_slot(std::move(cb), true)};
+inline Simulator::CountedTimer Simulator::make_counted_timer(Callback cb) {
+  return CountedTimer{this, alloc_counted_slot(std::move(cb))};
 }
 
 }  // namespace pathload::sim

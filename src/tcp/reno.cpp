@@ -16,9 +16,10 @@ TcpReceiver::TcpReceiver(sim::Simulator& sim, Duration reverse_delay)
 
 TcpReceiver::~TcpReceiver() {
   // The timer is armed for the front ACK. Arming it for each later one in
-  // turn leaves every earlier arm queued as a counted no-op, and releasing
-  // the handle does the same for the last: each ACK still in flight stays
-  // one event at its own (time, ticket), as a per-ACK event would.
+  // turn leaves every earlier arm behind as a counted no-op, and releasing
+  // the handle hands them all, the last arm included, to the simulator:
+  // each ACK still in flight stays one event at its own (time, ticket), as
+  // a per-ACK event would.
   for (std::size_t i = 1; i < ack_line_.size(); ++i) {
     ack_timer_.schedule_at(TimePoint::from_nanos(ack_line_[i].at), ack_line_[i].ticket);
   }

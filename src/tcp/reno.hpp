@@ -46,9 +46,11 @@ struct TcpConfig {
 /// ACKs in flight wait in the receiver's ACK delay line, served by one
 /// counted timer (Simulator::make_counted_timer) armed for the front entry
 /// with that entry's own time and FIFO ticket: the events and their order
-/// are those of one scheduled event per ACK. Safe to tear down mid-flight:
-/// destroying the receiver turns every ACK still in flight into an event
-/// that runs nothing, at its own time and ticket.
+/// are those of one scheduled event per ACK, and the timer is a simulator
+/// entry, so no ACK enters the calendar queue. Safe to tear down
+/// mid-flight: destroying the receiver leaves every ACK still in flight to
+/// the simulator as an event that runs nothing, at its own time and
+/// ticket.
 class TcpReceiver final : public sim::PacketHandler {
  public:
   TcpReceiver(sim::Simulator& sim, Duration reverse_delay);
@@ -98,7 +100,7 @@ class TcpReceiver final : public sim::PacketHandler {
     std::uint32_t flow;
   };
   RingBuffer<AckInFlight> ack_line_;
-  sim::Simulator::TimerHandle ack_timer_;
+  sim::Simulator::CountedTimer ack_timer_;
 };
 
 /// Sending endpoint implementing the TCP loss-recovery *mechanism*: fast
@@ -117,8 +119,10 @@ class TcpReceiver final : public sim::PacketHandler {
 ///
 /// The retransmission timer is a counted timer re-armed per ACK: every arm
 /// counts as one event, the superseded ones running nothing, as one
-/// scheduled RTO event per arm would. Destroying the sender leaves its
-/// pending arm as such a no-op.
+/// scheduled RTO event per arm would. The superseded arms wait in the
+/// simulator's line of counted timers' stale arms, which it counts in
+/// bulk, not in the calendar queue. Destroying the sender leaves its
+/// pending arm there as such a no-op.
 class TcpSender final : public sim::PacketHandler {
  public:
   TcpSender(sim::Simulator& sim, sim::Path& path, TcpConfig cfg,
@@ -195,7 +199,7 @@ class TcpSender final : public sim::PacketHandler {
   Duration srtt_{Duration::zero()};
   Duration rttvar_{Duration::zero()};
   Duration rto_;
-  sim::Simulator::TimerHandle rto_timer_;
+  sim::Simulator::CountedTimer rto_timer_;
   std::optional<std::uint64_t> timed_seq_{};  ///< Karn: one clean sample at a time
   TimePoint timed_sent_{};
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -43,6 +44,33 @@ class RingBuffer {
   void pop_front() {
     head_ = (head_ + 1) & (cap_ - 1);
     --size_;
+  }
+
+  /// Insert `v` before the i-th element (i == size() appends), moving the
+  /// elements behind it one place back, a contiguous run at a time.
+  void insert(std::size_t i, const T& v) {
+    if (size_ == cap_) grow();
+    for (std::size_t j = size_; j > i;) {
+      // Logical j lands on physical `to`; the elements before it up to
+      // the wrap, or up to i, move together.
+      const std::size_t to = (head_ + j) & (cap_ - 1);
+      if (to == 0) {
+        buf_[0] = buf_[cap_ - 1];
+        --j;
+        continue;
+      }
+      const std::size_t n = j - i < to ? j - i : to;
+      std::memmove(&buf_[to - n + 1], &buf_[to - n], n * sizeof(T));
+      j -= n;
+    }
+    buf_[(head_ + i) & (cap_ - 1)] = v;
+    ++size_;
+  }
+
+  /// Drop every element, keeping the array.
+  void clear() {
+    head_ = 0;
+    size_ = 0;
   }
 
  private:

@@ -96,6 +96,14 @@ class Twin {
     step_to_sentinel();
   }
 
+  /// run_until in `gap` steps while a whole one fits before the sentinel,
+  /// as a session's idle gaps would, then as run_until_sentinel.
+  void run_to_sentinel_in(Duration gap) {
+    sim::Simulator& sim = inst_.simulator();
+    while (sim.now() + gap < sentinel_) sim.run_until(sim.now() + gap);
+    run_until_sentinel();
+  }
+
   void step_to_sentinel() {
     while (!reached_) ASSERT_TRUE(inst_.simulator().run_next());
   }
@@ -168,6 +176,40 @@ TEST(DecoupledLinks, ImpairedPresetsUnderV1) {
     spec.seed = 4;
     twin_case(preset, std::move(spec));
   }
+}
+
+TEST(DecoupledLinks, LeftoversOfABtcRunDecouple) {
+  // A btc run on the instance first. It tears its connection down with
+  // ACKs in flight and superseded RTO arms pending: counted timers' stale
+  // arms, which run nothing and couple no link. The run_until twin runs to
+  // the sentinel in 10 ms gaps, as a session's idle gaps would: once the
+  // run's last segments have left the path, the gaps decouple while the
+  // leftovers are still falling due, and each still counts once. Then a
+  // pathload session on each twin. With every counted arm a calendar key,
+  // the gaps declined until the last leftover fell due: 5807 decoupled
+  // events at the sentinel, 834393 after the session.
+  ScenarioSpec spec = Registry::builtin().at("paper-path");
+  spec.seed = 8;
+  spec.warmup = Duration::zero();
+  const auto btc = [](ScenarioInstance& inst) -> std::shared_ptr<void> {
+    SimProbeChannel channel{inst.simulator(), inst.path()};
+    const auto est =
+        baselines::builtin_estimators().make("btc", core::kv_config_line("duration_s", 2.0));
+    Rng rng{8};
+    core::run_guarded(*est, channel, rng);
+    return nullptr;
+  };
+  Twin a{spec, Duration::milliseconds(500), btc};
+  Twin b{spec, Duration::milliseconds(500), btc};
+  a.run_to_sentinel_in(Duration::milliseconds(10));
+  b.step_to_sentinel();
+  EXPECT_EQ(b.instance().simulator().decoupled_events(), 0u);
+  expect_same(observe(a.instance()), observe(b.instance()), "at the sentinel");
+  EXPECT_EQ(a.instance().simulator().decoupled_events(), 9817u);
+  expect_same(referee::session(a.instance(), "pathload", 8),
+              referee::session(b.instance(), "pathload", 8), "pathload");
+  expect_same(observe(a.instance()), observe(b.instance()), "after pathload");
+  EXPECT_EQ(a.instance().simulator().decoupled_events(), 838403u);
 }
 
 /// A decline reason set up right after start: the run_until twin must run

@@ -9,6 +9,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,6 +25,8 @@
 #include "sim/rtt_probe.hpp"
 #include "sim/simulator.hpp"
 #include "sim/traffic.hpp"
+#include "tcp/reno.hpp"
+#include "tcp/workload.hpp"
 #include "util/rng.hpp"
 
 namespace pathload::scenario::referee {
@@ -318,6 +321,273 @@ inline ScenarioSpec fuzz_tuning_spec(int index) {
 inline void fuzz_cases(Sink& sink) {
   for (const int index : {3, 4}) {
     warmup_and_session(sink, "fuzz " + std::to_string(index), fuzz_tuning_spec(index));
+  }
+}
+
+
+// --- Counted timers (counted_timer_test.cpp, counted_timer_table.inc) ------
+
+/// What the counted-timer referee pins at one point of a run: the clock,
+/// the event, ticket and packet-id counters, the pending events and keys
+/// (every key folded into one FNV-1a hash), the TCP counters of the bulk
+/// transfers and flows, and every link's forwarded packets.
+struct TimerObservation {
+  std::int64_t clock_ns{0};
+  std::uint64_t events{0};
+  std::uint64_t next_ticket{0};
+  std::uint64_t next_packet_id{0};
+  std::uint64_t pending_events{0};
+  std::uint64_t pending_keys{0};
+  std::uint64_t pending_keys_hash{0};
+  std::uint64_t acked_bytes{0};
+  std::uint64_t fast_retransmits{0};
+  std::uint64_t timeouts{0};
+  std::uint64_t rate_samples{0};
+  std::string forwards;  ///< per link, each followed by a space
+};
+
+/// A SimProbeChannel that sums what its bulk transfers report.
+class BulkTally final : public core::ProbeChannel, public core::BulkChannel {
+ public:
+  explicit BulkTally(SimProbeChannel& inner) : inner_{inner} {}
+  core::StreamOutcome run_stream(const core::StreamSpec& spec) override {
+    return inner_.run_stream(spec);
+  }
+  void idle(Duration d) override { inner_.idle(d); }
+  TimePoint now() override { return inner_.now(); }
+  Duration rtt() const override { return inner_.rtt(); }
+  core::BulkChannel* bulk() override { return this; }
+  core::BulkTransferOutcome run_bulk_transfer(const core::BulkTransferSpec& spec) override {
+    core::BulkTransferOutcome out = inner_.run_bulk_transfer(spec);
+    acked_bytes += static_cast<std::uint64_t>(out.bytes_acked.byte_count());
+    fast_retransmits += out.fast_retransmits;
+    timeouts += out.timeouts;
+    rate_samples += out.rate_samples.size();
+    return out;
+  }
+
+  std::uint64_t acked_bytes{0};
+  std::uint64_t fast_retransmits{0};
+  std::uint64_t timeouts{0};
+  std::uint64_t rate_samples{0};
+
+ private:
+  SimProbeChannel& inner_;
+};
+
+/// Observe `inst`, with the bulk transfers `tally` summed (null: none).
+/// Drawing the next packet id consumes one, as in snapshot().
+inline TimerObservation observe_timers(ScenarioInstance& inst, const BulkTally* tally) {
+  sim::Simulator& sim = inst.simulator();
+  TimerObservation o;
+  o.clock_ns = sim.now().nanos();
+  o.events = sim.events_processed();
+  o.next_ticket = sim.reserve_fifo_tickets(0);
+  o.next_packet_id = sim.next_packet_id();
+  o.pending_events = sim.pending_events();
+  std::uint64_t hash = 14695981039346656037ULL;
+  for (const sim::Simulator::EventKey k : sim.pending_keys()) {
+    for (const std::uint64_t half : {static_cast<std::uint64_t>(k >> 64),
+                                     static_cast<std::uint64_t>(k)}) {
+      for (int b = 0; b < 64; b += 8) {
+        hash = (hash ^ ((half >> b) & 0xFF)) * 1099511628211ULL;
+      }
+    }
+    ++o.pending_keys;
+  }
+  o.pending_keys_hash = hash;
+  o.acked_bytes = static_cast<std::uint64_t>(inst.flow_bytes_acked().byte_count());
+  for (const auto& flow : inst.flows()) {
+    o.timeouts += flow->timeouts();
+    auto* packet = dynamic_cast<tcp::SegmentTcpFlow*>(flow.get());
+    if (packet != nullptr && packet->connection() != nullptr) {
+      o.fast_retransmits += packet->connection()->sender().fast_retransmits();
+    }
+  }
+  if (tally != nullptr) {
+    o.acked_bytes += tally->acked_bytes;
+    o.fast_retransmits += tally->fast_retransmits;
+    o.timeouts += tally->timeouts;
+    o.rate_samples += tally->rate_samples;
+  }
+  for (std::size_t i = 0; i < inst.path().hop_count(); ++i) {
+    o.forwards += std::to_string(inst.path().link(i).packets_forwarded()) + " ";
+  }
+  return o;
+}
+
+/// Where a counted-timer procedure reports, under a unique key.
+struct TimerSink {
+  virtual ~TimerSink() = default;
+  virtual void observe(const std::string& key, const TimerObservation& o) = 0;
+};
+
+inline const char* engine_name(EngineVersion e) { return e == EngineVersion::kV1 ? "v1" : "v2"; }
+
+/// The presets of the bulk half of --compare.
+inline std::vector<std::string> bulk_presets() {
+  return {"paper-path", "tcp-bg-greedy", "tcp-bg-rwnd-capped",
+          "tcp-vs-probe-duel", "bbr-vs-probe-duel", "btc-path"};
+}
+
+/// btc and delivery-rate on fresh instances of `preset` under `engine`,
+/// seeds {1, 2, 77}, as the estimator registry runs them; observed when
+/// the tool returns (its connection torn down with ACKs in flight and RTO
+/// arms pending), then 250 ms and 1.75 s later.
+inline void bulk_timer_cases(TimerSink& sink, const std::string& preset, EngineVersion engine) {
+  for (const char* tool : {"btc", "delivery-rate"}) {
+    for (const std::uint64_t seed : {1ULL, 2ULL, 77ULL}) {
+      ScenarioSpec spec = Registry::builtin().at(preset);
+      spec.engine = engine;
+      spec.seed = seed;
+      ScenarioInstance inst{std::move(spec)};
+      inst.start();
+      SimProbeChannel inner{inst.simulator(), inst.path()};
+      BulkTally channel{inner};
+      Rng rng{seed};
+      const auto est = baselines::builtin_estimators().make(tool);
+      core::run_guarded(*est, channel, rng);
+      const std::string key = preset + " " + engine_name(engine) + " seed " +
+                              std::to_string(seed) + " " + tool;
+      sink.observe(key + " done", observe_timers(inst, &channel));
+      inst.simulator().run_for(Duration::milliseconds(250));
+      sink.observe(key + " +250ms", observe_timers(inst, &channel));
+      inst.simulator().run_for(Duration::milliseconds(1500));
+      sink.observe(key + " +1750ms", observe_timers(inst, &channel));
+    }
+  }
+}
+
+/// A duel preset with its flow on the packet TCP backend (mode=packet)
+/// under `engine`, seeds {1, 2, 77}. Its 5 s on / 5 s off cycle tears a
+/// connection down mid-flight at 5 s and starts a fresh one at 10 s.
+/// Observed every 700 ms to 12.6 s, and after 300 single steps from 5.6 s.
+inline void packet_duel_timer_cases(TimerSink& sink, const std::string& preset,
+                                    EngineVersion engine) {
+  for (const std::uint64_t seed : {1ULL, 2ULL, 77ULL}) {
+    ScenarioSpec spec = Registry::builtin().at(preset);
+    spec.engine = engine;
+    spec.seed = seed;
+    spec.flows.at(0).mode = FlowSpec::Mode::kPacket;
+    ScenarioInstance inst{std::move(spec)};
+    inst.start();
+    sim::Simulator& sim = inst.simulator();
+    const std::string key = preset + " packet " + engine_name(engine) + " seed " +
+                            std::to_string(seed);
+    for (int step = 1; step <= 18; ++step) {
+      sim.run_until(TimePoint::origin() + Duration::milliseconds(700 * step));
+      sink.observe(key + " " + std::to_string(700 * step) + "ms", observe_timers(inst, nullptr));
+      if (step == 8) {
+        for (int i = 0; i < 300; ++i) sim.run_next();
+        sink.observe(key + " 300 steps", observe_timers(inst, nullptr));
+      }
+    }
+  }
+}
+
+/// cc_recovery_test's runs: the duel preset's flow on the packet backend
+/// with policy `cc`, its tight hop dropping 3% of packets, seeds {1, 2,
+/// 77}. Timeouts fire live, and backoff leaves RTO arms out of order.
+/// Observed every 1.5 s to 6 s (the connection ends at 5 s).
+inline void recovery_timer_cases(TimerSink& sink, const std::string& preset, const char* cc) {
+  for (const std::uint64_t seed : {1ULL, 2ULL, 77ULL}) {
+    ScenarioSpec spec = Registry::builtin().at(preset);
+    spec.seed = seed;
+    spec.flows.at(0).mode = FlowSpec::Mode::kPacket;
+    spec.flows.at(0).cc = cc;
+    ImpairSpec loss;
+    loss.hop = 1;
+    loss.loss = 0.03;
+    loss.seed = 7;
+    spec.impairments.push_back(loss);
+    ScenarioInstance inst{std::move(spec)};
+    inst.start();
+    const std::string key = preset + " " + cc + " impaired seed " + std::to_string(seed);
+    for (int step = 1; step <= 4; ++step) {
+      inst.simulator().run_until(TimePoint::origin() + Duration::milliseconds(1500 * step));
+      sink.observe(key + " " + std::to_string(1500 * step) + "ms", observe_timers(inst, nullptr));
+    }
+  }
+}
+
+/// Fuzz tuning cases 3 and 4 (v1; case 3 has a TCP flow), seeds {1, 2,
+/// 77}: warmup, a pathload session, then one more second.
+inline void fuzz_timer_cases(TimerSink& sink) {
+  for (const int index : {3, 4}) {
+    for (const std::uint64_t seed : {1ULL, 2ULL, 77ULL}) {
+      ScenarioSpec spec = fuzz_tuning_spec(index);
+      spec.seed = seed;
+      const Duration warmup = spec.warmup;
+      spec.warmup = Duration::zero();
+      ScenarioInstance inst{std::move(spec)};
+      inst.start();
+      inst.simulator().run_until(inst.simulator().now() + warmup);
+      const std::string key = "fuzz " + std::to_string(index) + " seed " + std::to_string(seed);
+      sink.observe(key + " warmup", observe_timers(inst, nullptr));
+      session(inst, "pathload", seed);
+      sink.observe(key + " after pathload", observe_timers(inst, nullptr));
+      inst.simulator().run_for(Duration::seconds(1));
+      sink.observe(key + " +1s", observe_timers(inst, nullptr));
+    }
+  }
+}
+
+/// Counted-timer arms that tie to the nanosecond, on v1 paper-path, seeds
+/// {1, 2, 77}. At each of ten instants one counted timer is armed with the
+/// 6th of six tickets reserved together, then re-armed with the 2nd, and
+/// another is armed with the 5th and then the 3rd, each arm cancelled: so
+/// stale arms of one instant are superseded in the reverse of their ticket
+/// order, and only the tickets order them. A plain timer holding the 4th
+/// ticket observes from inside the run, between the tied arms. Phase 1
+/// keeps the timers alive through the run; phase 2 releases them first,
+/// leaving every arm to the simulator.
+inline void tied_arm_cases(TimerSink& sink) {
+  for (const std::uint64_t seed : {1ULL, 2ULL, 77ULL}) {
+    ScenarioSpec spec = Registry::builtin().at("paper-path");
+    spec.seed = seed;
+    ScenarioInstance inst{std::move(spec)};
+    inst.start();
+    sim::Simulator& sim = inst.simulator();
+    struct Watch {
+      TimerSink* sink;
+      ScenarioInstance* inst;
+      std::string key;
+    };
+    std::vector<std::unique_ptr<Watch>> watches;
+    std::vector<sim::Simulator::TimerHandle> watchers;
+    for (const int phase : {1, 2}) {
+      const std::string key = "tied arms seed " + std::to_string(seed) + " phase " +
+                              std::to_string(phase);
+      const TimePoint t0 = sim.now() + Duration::milliseconds(10);
+      auto a = sim.make_counted_timer([] {});
+      auto b = sim.make_counted_timer([] {});
+      for (int k = 0; k < 10; ++k) {
+        const TimePoint at = t0 + Duration::milliseconds(k);
+        const std::uint64_t first = sim.reserve_fifo_tickets(6);
+        a.schedule_at(at, first + 5);
+        a.schedule_at(at, first + 1);
+        b.schedule_at(at, first + 4);
+        b.cancel();
+        b.schedule_at(at, first + 2);
+        b.cancel();
+        watches.push_back(std::make_unique<Watch>(
+            Watch{&sink, &inst, key + " tie " + std::to_string(k)}));
+        watchers.push_back(sim.make_timer([w = watches.back().get()] {
+          w->sink->observe(w->key, observe_timers(*w->inst, nullptr));
+        }));
+        watchers.back().schedule_at(at, first + 3);
+      }
+      a.schedule_at(t0 + Duration::milliseconds(20));
+      if (phase == 1) {
+        sim.run_until(t0 + Duration::milliseconds(15));
+        sink.observe(key + " 15ms", observe_timers(inst, nullptr));
+      } else {
+        a = decltype(a){};
+        b = decltype(b){};
+      }
+      sim.run_until(t0 + Duration::milliseconds(40));
+      sink.observe(key + " 40ms", observe_timers(inst, nullptr));
+    }
   }
 }
 

@@ -81,12 +81,11 @@ TEST(FluidLink, OwdSlopeMatchesFluidModel) {
 
   const Duration period = Duration::seconds(size.bits() / input.bits_per_sec());
   const int packets = 50;
+  const auto send = [&sim, &link, size] {
+    link.handle(make_packet(sim, static_cast<std::int32_t>(size.byte_count())));
+  };
   for (int i = 0; i < packets; ++i) {
-    sim.schedule_at(TimePoint::origin() + period * static_cast<double>(i),
-                    [&sim, &link, size] {
-                      link.handle(make_packet(sim, static_cast<std::int32_t>(
-                                                       size.byte_count())));
-                    });
+    sim.schedule_at(TimePoint::origin() + period * static_cast<double>(i), [&send] { send(); });
   }
   sim.run_all();
   ASSERT_EQ(out.arrivals.size(), static_cast<std::size_t>(packets));
@@ -281,6 +280,7 @@ TEST(FluidLink, BurstKernelMatchesPacketAtATimeAndTheReference) {
   FluidReference ref{capacity, prop, buffer};
 
   std::vector<Packet> packets_a;  // handle()'s twin's, by seq
+  const auto handle_a = [&a, &packets_a](std::uint32_t s) { a.handle(packets_a[s]); };
   std::map<std::uint32_t, TimePoint> want;  // the reference's deliveries
   std::map<std::uint32_t, TimePoint> burst_at;
   std::uint32_t seq = 0;
@@ -311,7 +311,7 @@ TEST(FluidLink, BurstKernelMatchesPacketAtATimeAndTheReference) {
           TimePoint::origin() + Duration::milliseconds(u.first_ms + i * u.gap_ms);
       packets_a.push_back(make_packet(sim_a, size));
       packets_a.back().seq = seq;
-      sim_a.schedule_at(at, [&a, &packets_a, seq] { a.handle(packets_a[seq]); });
+      sim_a.schedule_at(at, [&handle_a, seq] { handle_a(seq); });
       arrivals.push_back(Link::BurstHop{at, seq});
       if (const auto delivery = ref.transit(at, DataSize::bytes(size))) want[seq] = *delivery;
     }

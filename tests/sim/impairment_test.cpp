@@ -161,11 +161,11 @@ TEST(LinkImpairments, ReorderJitterStaysWithinBoundAndCanReorder) {
   link.set_downstream(&out);
   const Duration tx = Rate::mbps(100).transmission_time(DataSize::bytes(500));
   const int count = 50;
+  // The packets are due in the order of i, so the i-th to fire is packet i.
+  std::uint32_t next = 0;
+  const auto send = [&link, &sim, &next] { link.handle(make_packet(sim, next++)); };
   for (int i = 0; i < count; ++i) {
-    sim.schedule_at(TimePoint::origin() + Duration::milliseconds(10.0 * i),
-                    [&link, &sim, i] {
-                      link.handle(make_packet(sim, static_cast<std::uint32_t>(i)));
-                    });
+    sim.schedule_at(TimePoint::origin() + Duration::milliseconds(10.0 * i), [&send] { send(); });
   }
   sim.run_all();
   ASSERT_EQ(out.packets.size(), static_cast<std::size_t>(count));

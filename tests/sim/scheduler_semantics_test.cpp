@@ -119,12 +119,20 @@ TEST(SchedulerSemantics, TimerDestroyedInsideOwnCallbackIsSafe) {
   int fired = 0;
   int oneshots = 0;
   auto timer = std::make_unique<Simulator::TimerHandle>();
-  *timer = sim.make_timer([&] {
-    ++fired;
-    timer.reset();  // ~TimerHandle from inside the callback
+  // One pointer of capture, read again after the reset: a recycled slot
+  // would have lost it.
+  struct Refs {
+    Simulator& sim;
+    std::unique_ptr<Simulator::TimerHandle>& timer;
+    int& fired;
+    int& oneshots;
+  } refs{sim, timer, fired, oneshots};
+  *timer = sim.make_timer([r = &refs] {
+    ++r->fired;
+    r->timer.reset();  // ~TimerHandle from inside the callback
     // Nested allocations that would reuse a prematurely freed slot.
     for (int i = 0; i < 4; ++i) {
-      sim.schedule_now([&] { ++oneshots; });
+      r->sim.schedule_now([o = &r->oneshots] { ++*o; });
     }
   });
   timer->schedule_in(Duration::milliseconds(1));
@@ -147,7 +155,7 @@ TEST(SchedulerSemantics, DestroyedTimerNeverFires) {
 TEST(SchedulerSemantics, CountedTimerKeepsEveryArmAsAnEvent) {
   Simulator sim;
   int fired = 0;
-  auto timer = std::make_unique<Simulator::TimerHandle>(
+  auto timer = std::make_unique<Simulator::CountedTimer>(
       sim.make_counted_timer([&] { ++fired; }));
   timer->schedule_in(Duration::milliseconds(5));
   timer->schedule_in(Duration::milliseconds(1));  // the 5 ms arm stays queued
@@ -389,6 +397,10 @@ TEST(SchedulerSemantics, ReplayMatchesReferenceHeapOrder) {
 // source, per link service and per delay-line front, armed with the
 // ticket reserved where the link or source reserves it.
 //
+// With leftovers, a quarter of the operations re-arm a counted timer
+// earlier than its own pending stale arms, or release it with its stale
+// line pending, which the simulator then keeps until each arm falls due.
+//
 // A keyed batch is SimProbeChannel's: a block of tickets reserved at once,
 // entry i taking ticket base + i, and one timer that fires the entries in
 // order, re-arming itself from its own callback. The reference arms every
@@ -472,8 +484,13 @@ using PendingSample = std::pair<std::size_t, std::size_t>;
 /// backends that pop the same order receive the same operations.
 class OpStream {
  public:
-  OpStream(std::uint64_t seed, int budget, bool fast_forwards = false, bool links = false)
-      : lcg_{seed}, budget_{budget}, fast_forwards_{fast_forwards}, links_{links} {}
+  OpStream(std::uint64_t seed, int budget, bool fast_forwards = false, bool links = false,
+           bool leftovers = false)
+      : lcg_{seed},
+        budget_{budget},
+        fast_forwards_{fast_forwards},
+        links_{links},
+        leftovers_{leftovers} {}
 
   void attach(Backend& q) { q_ = &q; }
   const std::vector<TraceEntry>& trace() const { return trace_; }
@@ -542,6 +559,25 @@ class OpStream {
   void act() {
     if (quiet_ || next_tag_ >= budget_) return;
     const std::int64_t now = q_->now();
+    if (leftovers_ && draw() % 4 == 0) {
+      // Counted timers' leftovers: stale arms that every later slice's
+      // run_until crosses, beside the link entries.
+      const auto k = static_cast<std::size_t>(draw() % kDiffCounted);
+      if (draw() % 2 == 0) {
+        // Re-armed earlier than its own pending stale arms: a far arm, a
+        // nearer one, then one within the current ring or tied with now.
+        q_->arm_counted(k, now + 900'000'000 + static_cast<std::int64_t>(draw() % 600'000'000));
+        q_->arm_counted(k, now + 200'000'000 + static_cast<std::int64_t>(draw() % 50'000'000));
+        q_->arm_counted(k, now + (draw() % 2 == 0 ? 0 : static_cast<std::int64_t>(draw() % 2'000'000)));
+      } else {
+        // Released with a stale line pending: two arms, then the release.
+        q_->arm_counted(k, now + gap());
+        q_->arm_counted(k, now + gap());
+        q_->release_counted(k);
+      }
+      q_->schedule_at(now + gap(), next_tag_++);
+      return;
+    }
     if (links_ && draw() % 4 == 0) {
       if (draw() % 3 != 0) {
         q_->inject(static_cast<std::size_t>(draw() % kDiffLinks), next_tag_++);
@@ -597,6 +633,7 @@ class OpStream {
   int budget_;
   bool fast_forwards_;
   bool links_;
+  bool leftovers_;
   bool quiet_{false};  // chains end instead of scheduling their successor
   int next_tag_{0};
   std::vector<TraceEntry> trace_;
@@ -883,7 +920,7 @@ class EngineBackend final : public Backend {
   void step() override { sim_.run_next(); }
 
  private:
-  Simulator::TimerHandle make_counted(std::size_t timer) {
+  Simulator::CountedTimer make_counted(std::size_t timer) {
     const int tag = kCountedTag - static_cast<int>(timer);
     return sim_.make_counted_timer([this, tag] { ops_.on_fire(tag); });
   }
@@ -925,7 +962,7 @@ class EngineBackend final : public Backend {
   OpStream& ops_;
   Simulator sim_;  // declared before the handles, links and sources
   std::vector<Simulator::TimerHandle> timers_;
-  std::vector<Simulator::TimerHandle> counted_;
+  std::vector<Simulator::CountedTimer> counted_;
   Receiver receivers_[kDiffLinks];
   Receiver loose_receiver_;
   std::vector<std::unique_ptr<Link>> links_;
@@ -934,16 +971,16 @@ class EngineBackend final : public Backend {
   std::vector<std::unique_ptr<Chain>> chains_;  // keyed batches, reused once closed
 };
 
-void expect_matches_reference(bool fast_forwards, bool links = false) {
+void expect_matches_reference(bool fast_forwards, bool links = false, bool leftovers = false) {
   constexpr int kBudget = 4000;  // one-shot events per seed
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
-    OpStream ref_ops{seed, kBudget, fast_forwards, links};
+    OpStream ref_ops{seed, kBudget, fast_forwards, links, leftovers};
     ReferenceBackend ref{ref_ops, links};
     ref_ops.attach(ref);
     while (ref_ops.slice()) {
     }
 
-    OpStream ops{seed, kBudget, fast_forwards, links};
+    OpStream ops{seed, kBudget, fast_forwards, links, leftovers};
     EngineBackend engine{ops, links};
     ops.attach(engine);
     while (ops.slice()) {
@@ -994,6 +1031,14 @@ TEST(SchedulerSemantics, DifferentialAgainstReferenceHeapAcrossLanes) {
 
 TEST(SchedulerSemantics, LinkEntriesDifferentialAgainstReferenceHeap) {
   expect_matches_reference(false, /*links=*/true);
+}
+
+TEST(SchedulerSemantics, CountedLeftoversDifferentialAgainstReferenceHeap) {
+  // Counted timers re-armed earlier than one of their own pending stale
+  // arms (the last arm sometimes at `now` itself), and released with a
+  // stale line pending, so the simulator keeps their leftovers; run_until
+  // slices and single steps cross them while link entries fire.
+  expect_matches_reference(false, /*links=*/true, /*leftovers=*/true);
 }
 
 TEST(SchedulerSemantics, FastForwardDifferentialAgainstReferenceHeap) {

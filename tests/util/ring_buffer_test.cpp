@@ -65,5 +65,42 @@ TEST(RingBuffer, ElementsAreWritableInPlace) {
   EXPECT_EQ(r[2], 42);
 }
 
+TEST(RingBuffer, InsertAtAnyPlaceMatchesDequeAcrossTheWrap) {
+  // Every insert position at every head offset and fill of an 8- and a
+  // 16-slot array, so the moved run starts, ends and crosses the wrap
+  // everywhere; also an insert into a full array, which grows it first.
+  for (int offset = 0; offset < 16; ++offset) {
+    for (int fill = 0; fill <= 16; ++fill) {
+      for (int at = 0; at <= fill; ++at) {
+        RingBuffer<int> r;
+        std::deque<int> d;
+        for (int i = 0; i < offset; ++i) r.push_back(-1);
+        for (int i = 0; i < offset; ++i) r.pop_front();
+        for (int i = 0; i < fill; ++i) {
+          r.push_back(i);
+          d.push_back(i);
+        }
+        r.insert(static_cast<std::size_t>(at), 100);
+        d.insert(d.begin() + at, 100);
+        ASSERT_EQ(r.size(), d.size());
+        for (std::size_t i = 0; i < d.size(); ++i) {
+          ASSERT_EQ(r[i], d[i]) << "offset " << offset << " fill " << fill << " at " << at;
+        }
+      }
+    }
+  }
+}
+
+TEST(RingBuffer, ClearKeepsTheArray) {
+  RingBuffer<int> r;
+  for (int i = 0; i < 20; ++i) r.push_back(i);
+  const std::size_t cap = r.capacity();
+  r.clear();
+  EXPECT_TRUE(r.empty());
+  EXPECT_EQ(r.capacity(), cap);
+  r.push_back(5);
+  EXPECT_EQ(r.front(), 5);
+}
+
 }  // namespace
 }  // namespace pathload
