@@ -728,13 +728,15 @@ void Simulator::arm_timer(CountedSlot& s, TimePoint t, std::uint64_t ticket) {
 }
 
 void Simulator::arm_validated(CountedSlot& s, TimePoint t, std::uint64_t ticket) {
+  const EventKey key = event_key(t, ticket);
   if (s.at != kNoEvent) {
     timers_->add_local(s.at);  // the replaced arm stays an event that runs nothing
+    armed_[s.heap_pos].at = key;
   } else {
     s.heap_pos = armed_.size();
-    armed_.push_back(&s);
+    armed_.push_back({key, &s});
   }
-  s.at = event_key(t, ticket);
+  s.at = key;
   sift_armed(s.heap_pos);
   refresh_timers();
 }
@@ -765,31 +767,31 @@ void Simulator::recycle(CountedSlot& s) {
 }
 
 void Simulator::sift_armed(std::size_t i) {
-  CountedSlot* const s = armed_[i];
-  while (i > 0 && s->at < armed_[(i - 1) / 2]->at) {
+  const Armed x = armed_[i];
+  while (i > 0 && x.at < armed_[(i - 1) / 2].at) {
     armed_[i] = armed_[(i - 1) / 2];
-    armed_[i]->heap_pos = i;
+    armed_[i].slot->heap_pos = i;
     i = (i - 1) / 2;
   }
   for (;;) {
     std::size_t child = 2 * i + 1;
     if (child >= armed_.size()) break;
-    if (child + 1 < armed_.size() && armed_[child + 1]->at < armed_[child]->at) ++child;
-    if (!(armed_[child]->at < s->at)) break;
+    if (child + 1 < armed_.size() && armed_[child + 1].at < armed_[child].at) ++child;
+    if (!(armed_[child].at < x.at)) break;
     armed_[i] = armed_[child];
-    armed_[i]->heap_pos = i;
+    armed_[i].slot->heap_pos = i;
     i = child;
   }
-  armed_[i] = s;
-  s->heap_pos = i;
+  armed_[i] = x;
+  x.slot->heap_pos = i;
 }
 
 void Simulator::unarm(CountedSlot& s) {
-  CountedSlot* const last = armed_.back();
+  const Armed last = armed_.back();
   armed_.pop_back();
-  if (last != &s) {
+  if (last.slot != &s) {
     armed_[s.heap_pos] = last;
-    last->heap_pos = s.heap_pos;
+    last.slot->heap_pos = s.heap_pos;
     sift_armed(s.heap_pos);
   }
   s.at = kNoEvent;
@@ -798,7 +800,7 @@ void Simulator::unarm(CountedSlot& s) {
 void Simulator::refresh_timers() {
   count_timers();
   LinkEntry& e = *timers_;
-  const EventKey next = armed_.empty() ? kNoEvent : armed_.front()->at;
+  const EventKey next = armed_.empty() ? kNoEvent : armed_.front().at;
   if (next == e.next) return;  // most re-arms move a later arm
   e.next = next;
   e.kind = next == kNoEvent ? LinkEntry::Kind::kNone : LinkEntry::Kind::kTimer;
@@ -808,7 +810,7 @@ void Simulator::refresh_timers() {
 
 void Simulator::fire_timer(EventKey key) {
   settle(key);  // the callback may observe the count
-  CountedSlot& s = *armed_.front();
+  CountedSlot& s = *armed_.front().slot;
   // Disarmed before invoking, so the callback can re-arm its own timer.
   unarm(s);
   refresh_timers();
@@ -898,7 +900,7 @@ std::vector<Simulator::EventKey> Simulator::pending_keys() const {
       keys.push_back(event_key(TimePoint::from_nanos(line[i].at), line[i].ticket));
     }
   }
-  for (const CountedSlot* s : armed_) keys.push_back(s->at);
+  for (const Armed& a : armed_) keys.push_back(a.at);
   std::sort(keys.begin(), keys.end());
   return keys;
 }

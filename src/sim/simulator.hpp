@@ -490,7 +490,11 @@ class Simulator {
   // timers' included, until each falls due; the live arms as a min-heap by
   // key; every slot, and those released and free for reuse.
   std::unique_ptr<LinkEntry> timers_;
-  std::vector<CountedSlot*> armed_;
+  struct Armed {  // the key beside its slot: a sift compares without a load
+    EventKey at;
+    CountedSlot* slot;
+  };
+  std::vector<Armed> armed_;
   std::vector<std::unique_ptr<CountedSlot>> counted_slots_;
   std::vector<CountedSlot*> free_counted_;
 };
