@@ -614,17 +614,16 @@ void Simulator::retire_due(LinkEntry& e, EventKey before) {
     ++n;
   }
   processed_ += n;
-  if (&e == timers_.get()) {
-    count_timers();
+  if (e.counted) {
+    count_line(e);
     return;
   }
   link_events_ += n;
   count_pending(e);
 }
 
-void Simulator::count_timers() {
-  LinkEntry& e = *timers_;
-  const std::size_t pending = armed_.size() + e.local.size();
+void Simulator::count_line(LinkEntry& e) {
+  const std::size_t pending = (e.kind == LinkEntry::Kind::kTimer ? 1 : 0) + e.local.size();
   entry_live_ += pending - e.pending;
   e.pending = pending;
 }
@@ -651,7 +650,7 @@ void Simulator::fire_entry(LinkEntry& e) {
   now_ = TimePoint::from_nanos(static_cast<std::int64_t>(key >> 64));
   ++processed_;
   if (e.kind == LinkEntry::Kind::kTimer) {
-    fire_timer(key);
+    fire_timer(static_cast<TimerEntry&>(e), key);
     return;
   }
   ++link_events_;
@@ -700,124 +699,112 @@ Simulator::LinkEntry& Simulator::loose_entry() {
   return *loose_;
 }
 
-Simulator::CountedSlot* Simulator::alloc_counted_slot(Callback cb) {
-  if (timers_ == nullptr) {
-    timers_ = std::make_unique<LinkEntry>();
-    register_entry(*timers_);
+Simulator::LinkEntry& Simulator::orphan_entry() {
+  if (orphans_ == nullptr) {
+    orphans_ = std::make_unique<LinkEntry>();
+    orphans_->counted = true;
+    register_entry(*orphans_);
   }
-  CountedSlot* s = nullptr;
-  if (!free_counted_.empty()) {
-    s = free_counted_.back();
-    free_counted_.pop_back();
+  return *orphans_;
+}
+
+Simulator::TimerEntry* Simulator::alloc_timer_entry(Callback cb) {
+  TimerEntry* e = nullptr;
+  if (!free_timers_.empty()) {
+    e = free_timers_.back();
+    free_timers_.pop_back();
   } else {
-    counted_slots_.push_back(std::make_unique<CountedSlot>());
-    s = counted_slots_.back().get();
+    timer_entries_.push_back(std::make_unique<TimerEntry>());
+    e = timer_entries_.back().get();
+    e->counted = true;
   }
-  s->cb = std::move(cb);
-  return s;
+  e->cb = std::move(cb);
+  register_entry(*e);
+  return e;
 }
 
-void Simulator::arm_timer(CountedSlot& s, TimePoint t) {
+void Simulator::arm_timer(TimerEntry& e, TimePoint t) {
   if (t < now_) throw_past(t, now_);
-  arm_validated(s, t, ++seq_);
+  arm_validated(e, t, ++seq_);
 }
 
-void Simulator::arm_timer(CountedSlot& s, TimePoint t, std::uint64_t ticket) {
+void Simulator::arm_timer(TimerEntry& e, TimePoint t, std::uint64_t ticket) {
   if (t < now_) throw_past(t, now_);
-  arm_validated(s, t, ticket);
+  arm_validated(e, t, ticket);
 }
 
-void Simulator::arm_validated(CountedSlot& s, TimePoint t, std::uint64_t ticket) {
-  const EventKey key = event_key(t, ticket);
-  if (s.at != kNoEvent) {
-    timers_->add_local(s.at);  // the replaced arm stays an event that runs nothing
-    armed_[s.heap_pos].at = key;
-  } else {
-    s.heap_pos = armed_.size();
-    armed_.push_back({key, &s});
-  }
-  s.at = key;
-  sift_armed(s.heap_pos);
-  refresh_timers();
+void Simulator::arm_validated(TimerEntry& e, TimePoint t, std::uint64_t ticket) {
+  // The replaced arm stays an event, one that runs nothing.
+  if (e.kind == LinkEntry::Kind::kTimer) e.add_local(e.next);
+  e.next = event_key(t, ticket);
+  e.kind = LinkEntry::Kind::kTimer;
+  entries_[e.index].next = e.next;
+  rescan_ = true;
+  count_line(e);
 }
 
-void Simulator::disarm_timer(CountedSlot& s) {
-  if (s.at == kNoEvent) return;
-  timers_->add_local(s.at);
-  unarm(s);
-  refresh_timers();
-}
-
-void Simulator::release_timer(CountedSlot& s) {
-  disarm_timer(s);
-  if (s.firing) {
-    // Released from inside its own callback, whose closure lives in this
-    // slot: recycle it once the callback returns (fire_timer).
-    s.zombie = true;
-    return;
-  }
-  recycle(s);
-}
-
-void Simulator::recycle(CountedSlot& s) {
-  s.cb = Callback{};
-  s.firing = false;
-  s.zombie = false;
-  free_counted_.push_back(&s);
-}
-
-void Simulator::sift_armed(std::size_t i) {
-  const Armed x = armed_[i];
-  while (i > 0 && x.at < armed_[(i - 1) / 2].at) {
-    armed_[i] = armed_[(i - 1) / 2];
-    armed_[i].slot->heap_pos = i;
-    i = (i - 1) / 2;
-  }
-  for (;;) {
-    std::size_t child = 2 * i + 1;
-    if (child >= armed_.size()) break;
-    if (child + 1 < armed_.size() && armed_[child + 1].at < armed_[child].at) ++child;
-    if (!(armed_[child].at < x.at)) break;
-    armed_[i] = armed_[child];
-    armed_[i].slot->heap_pos = i;
-    i = child;
-  }
-  armed_[i] = x;
-  x.slot->heap_pos = i;
-}
-
-void Simulator::unarm(CountedSlot& s) {
-  const Armed last = armed_.back();
-  armed_.pop_back();
-  if (last.slot != &s) {
-    armed_[s.heap_pos] = last;
-    last.slot->heap_pos = s.heap_pos;
-    sift_armed(s.heap_pos);
-  }
-  s.at = kNoEvent;
-}
-
-void Simulator::refresh_timers() {
-  count_timers();
-  LinkEntry& e = *timers_;
-  const EventKey next = armed_.empty() ? kNoEvent : armed_.front().at;
-  if (next == e.next) return;  // most re-arms move a later arm
-  e.next = next;
-  e.kind = next == kNoEvent ? LinkEntry::Kind::kNone : LinkEntry::Kind::kTimer;
-  entries_[e.index].next = next;
+void Simulator::disarm_timer(TimerEntry& e) {
+  if (e.kind != LinkEntry::Kind::kTimer) return;
+  e.add_local(e.next);
+  e.next = kNoEvent;
+  e.kind = LinkEntry::Kind::kNone;
+  entries_[e.index].next = kNoEvent;
   rescan_ = true;
 }
 
-void Simulator::fire_timer(EventKey key) {
+void Simulator::release_timer(TimerEntry& e) {
+  disarm_timer(e);
+  if (!e.local.empty()) {
+    // Merge the timer's line into the orphans' by (time, ticket).
+    RingBuffer<EventKey>& into = orphan_entry().local;
+    const RingBuffer<EventKey>& from = e.local;
+    if (into.empty()) {
+      std::swap(into, e.local);  // the timer keeps the orphans' empty array
+    } else if (into[into.size() - 1] < from.front()) {
+      for (std::size_t i = 0; i < from.size(); ++i) into.push_back(from[i]);
+    } else {
+      RingBuffer<EventKey> merged;
+      std::size_t i = 0;
+      std::size_t j = 0;
+      while (i < into.size() || j < from.size()) {
+        const bool mine = j < from.size() && (i == into.size() || from[j] < into[i]);
+        merged.push_back(mine ? from[j++] : into[i++]);
+      }
+      into = std::move(merged);
+    }
+    e.local.clear();
+    count_line(*orphans_);
+    count_line(e);
+  }
+  unregister_entry(e);
+  if (e.firing) {
+    // Released from inside its own callback, whose closure lives in this
+    // entry: recycle it once the callback returns (fire_timer).
+    e.zombie = true;
+    return;
+  }
+  recycle(e);
+}
+
+void Simulator::recycle(TimerEntry& e) {
+  e.cb = Callback{};
+  e.firing = false;
+  e.zombie = false;
+  free_timers_.push_back(&e);
+}
+
+void Simulator::fire_timer(TimerEntry& e, EventKey key) {
   settle(key);  // the callback may observe the count
-  CountedSlot& s = *armed_.front().slot;
+  e.next = kNoEvent;
+  e.kind = LinkEntry::Kind::kNone;
+  entries_[e.index].next = kNoEvent;
+  rescan_ = true;
+  count_line(e);
   // Disarmed before invoking, so the callback can re-arm its own timer.
-  unarm(s);
-  refresh_timers();
-  s.firing = true;
-  s.cb();
-  s.firing = false;
-  if (s.zombie) recycle(s);
+  e.firing = true;
+  e.cb();
+  e.firing = false;
+  if (e.zombie) recycle(e);
 }
 
 namespace {
@@ -893,6 +880,7 @@ std::vector<Simulator::EventKey> Simulator::pending_keys() const {
     const LinkEntry& e = *r.entry;
     for (const LinkEntry::Emission& em : e.emissions) keys.push_back(em.key);
     if (e.service != kNoEvent) keys.push_back(e.service);
+    if (e.kind == LinkEntry::Kind::kTimer) keys.push_back(e.next);
     for (std::size_t i = 0; i < e.local.size(); ++i) keys.push_back(e.local[i]);
     if (e.link == nullptr) continue;
     const auto& line = e.link->delay_line_;
@@ -900,7 +888,6 @@ std::vector<Simulator::EventKey> Simulator::pending_keys() const {
       keys.push_back(event_key(TimePoint::from_nanos(line[i].at), line[i].ticket));
     }
   }
-  for (const Armed& a : armed_) keys.push_back(a.at);
   std::sort(keys.begin(), keys.end());
   return keys;
 }

@@ -94,7 +94,7 @@ class Simulator {
   class TimerHandle;
   class CountedTimer;
   struct LinkEntry;
-  struct CountedSlot;
+  struct TimerEntry;
 
   /// An event's (time, ticket) as one integer, time in the high half, so
   /// integer order is the queue's order.
@@ -137,10 +137,10 @@ class Simulator {
   /// advances the clock and counts in events_processed() and
   /// pending_events(), but runs nothing. This is exactly what one
   /// generation-checked one-shot event per arm would do, without a closure
-  /// or a calendar key per arm: every counted timer's live arm waits in one
-  /// min-heap whose top is the key of one entry (LinkEntry), and the
-  /// superseded arms wait in that entry's local line, which run_until
-  /// counts in bulk. TCP's RTO timer and ACK delay line use it,
+  /// or a calendar key per arm: the timer is an entry (LinkEntry) whose key
+  /// is the live arm, and the superseded arms wait in its local line, which
+  /// run_until counts in bulk. A released timer hands its leftovers to a
+  /// line the simulator keeps. TCP's RTO timer and ACK delay line use it,
   /// so that their event counts stay those of one event per arm and per
   /// ACK, also when a connection is torn down mid-run. Lifetime as for
   /// make_timer.
@@ -340,8 +340,8 @@ class Simulator {
   // Inlined into every link event: each is a handful of compares.
   [[gnu::always_inline]] inline void refresh(LinkEntry& e);
   [[gnu::always_inline]] inline void count_pending(LinkEntry& e);
-  /// The counted timers' pending events: each live arm and each stale one.
-  void count_timers();
+  /// A counted line's pending events: its live arm and each stale one.
+  void count_line(LinkEntry& e);
   LinkEntry* earliest_entry();
   void fire_entry(LinkEntry& e);
   /// Count the entry's local deliveries before `before` as fired events.
@@ -349,6 +349,8 @@ class Simulator {
   void retire_due(LinkEntry& e, EventKey before);
   void settle(EventKey before);
   LinkEntry& loose_entry();
+  /// The line that keeps released counted timers' leftovers.
+  LinkEntry& orphan_entry();
 
   // The decoupled path of run_until (docs/ENGINE.md, "Decoupled links").
   struct LogRecord {  // one event of a link run alone
@@ -398,19 +400,15 @@ class Simulator {
   void release_timer(Slot* slot);
   friend class TimerHandle;
 
-  // CountedTimer backdoor: the same operations on a counted slot.
-  CountedSlot* alloc_counted_slot(Callback cb);
-  void arm_timer(CountedSlot& s, TimePoint t);
-  void arm_timer(CountedSlot& s, TimePoint t, std::uint64_t ticket);
-  void arm_validated(CountedSlot& s, TimePoint t, std::uint64_t ticket);
-  void disarm_timer(CountedSlot& s);
-  void release_timer(CountedSlot& s);
-  void recycle(CountedSlot& s);
-  // The live arms' heap, ordered by key, and the entry whose key is its top.
-  void sift_armed(std::size_t i);
-  void unarm(CountedSlot& s);
-  void refresh_timers();
-  void fire_timer(EventKey key);
+  // CountedTimer backdoor: the same operations on a timer entry.
+  TimerEntry* alloc_timer_entry(Callback cb);
+  void arm_timer(TimerEntry& e, TimePoint t);
+  void arm_timer(TimerEntry& e, TimePoint t, std::uint64_t ticket);
+  void arm_validated(TimerEntry& e, TimePoint t, std::uint64_t ticket);
+  void disarm_timer(TimerEntry& e);
+  void release_timer(TimerEntry& e);
+  void fire_timer(TimerEntry& e, EventKey key);
+  void recycle(TimerEntry& e);
   friend class CountedTimer;
 
   [[noreturn]] static void throw_past(TimePoint t, TimePoint now);
@@ -485,18 +483,11 @@ class Simulator {
   std::vector<LogRecord> log_;
   // Sources built on a handler that is not a Link share this entry.
   std::unique_ptr<LinkEntry> loose_;
-  // Counted timers: the entry (made with the first one) whose key is the
-  // earliest live arm and whose local line holds every stale arm, released
-  // timers' included, until each falls due; the live arms as a min-heap by
-  // key; every slot, and those released and free for reuse.
-  std::unique_ptr<LinkEntry> timers_;
-  struct Armed {  // the key beside its slot: a sift compares without a load
-    EventKey at;
-    CountedSlot* slot;
-  };
-  std::vector<Armed> armed_;
-  std::vector<std::unique_ptr<CountedSlot>> counted_slots_;
-  std::vector<CountedSlot*> free_counted_;
+  // Every counted timer's entry, and those released and free for reuse.
+  std::vector<std::unique_ptr<TimerEntry>> timer_entries_;
+  std::vector<TimerEntry*> free_timers_;
+  // Released counted timers' stale arms, until each falls due.
+  std::unique_ptr<LinkEntry> orphans_;
 };
 
 /// One link's pending events, scheduled outside the calendar queue: the
@@ -514,11 +505,11 @@ class Simulator {
 /// source feeding no link, a counted timer's callback), and the rest of
 /// the link's own before its other events.
 ///
-/// The counted timers share one entry of the same kind: `next` is the
-/// earliest live arm (Kind::kTimer), and each superseded, cancelled or
-/// released arm waits in `local` as an event that runs nothing. There each
-/// live and each stale arm is one pending event; a link's delay line and
-/// local line are one together.
+/// A counted timer's entry (TimerEntry) is a line of the same kind: its
+/// live arm is `next` (Kind::kTimer), and each superseded or cancelled arm
+/// waits in `local` as an event that runs nothing. So does the line of
+/// released timers' leftovers. On such a `counted` line each key is one
+/// pending event; a link's delay line and local line are one together.
 struct Simulator::LinkEntry {
   struct Emission {
     EventKey key;
@@ -577,10 +568,11 @@ struct Simulator::LinkEntry {
   EventKey delivery{kNoEvent};
   std::vector<Emission> emissions;
   RingBuffer<EventKey> local;  // ascending
-  Link* link{nullptr};  // null: the sources that feed no link, or timers
+  Link* link{nullptr};  // null: the sources that feed no link, or a timer
   std::size_t pending{0};  // events counted in entry_live_
   std::size_t index{0};    // in Simulator::entries_
   Kind kind{Kind::kNone};
+  bool counted{false};  // a counted line: each key in `local` is an event
   // The decoupled path's current chunk: the link's events in the log,
   // [log_begin, log_end), the merge's position in them, and the tickets
   // and packet ids the link drew.
@@ -591,11 +583,9 @@ struct Simulator::LinkEntry {
   std::uint32_t chunk_ids{0};
 };
 
-/// A counted timer: the callback its live arm runs, and that arm.
-struct Simulator::CountedSlot {
+/// A counted timer's entry: the callback its live arm runs.
+struct Simulator::TimerEntry : LinkEntry {
   Callback cb;
-  EventKey at{kNoEvent};      // the live arm, if any
-  std::size_t heap_pos{0};    // in Simulator::armed_, while armed
   bool firing{false};  // its callback is on the stack
   bool zombie{false};  // released mid-fire: recycle after cb returns
 };
@@ -720,17 +710,17 @@ class Simulator::CountedTimer {
   CountedTimer() = default;
   ~CountedTimer() { release(); }
 
-  CountedTimer(CountedTimer&& o) noexcept : sim_{o.sim_}, slot_{o.slot_} {
+  CountedTimer(CountedTimer&& o) noexcept : sim_{o.sim_}, entry_{o.entry_} {
     o.sim_ = nullptr;
-    o.slot_ = nullptr;
+    o.entry_ = nullptr;
   }
   CountedTimer& operator=(CountedTimer&& o) noexcept {
     if (this != &o) {
       release();
       sim_ = o.sim_;
-      slot_ = o.slot_;
+      entry_ = o.entry_;
       o.sim_ = nullptr;
-      o.slot_ = nullptr;
+      o.entry_ = nullptr;
     }
     return *this;
   }
@@ -740,32 +730,32 @@ class Simulator::CountedTimer {
   /// Arm (or re-arm) the timer for absolute time `t` (must not be in the past).
   void schedule_at(TimePoint t) {
     require_bound();
-    sim_->arm_timer(*slot_, t);
+    sim_->arm_timer(*entry_, t);
   }
   /// Arm (or re-arm) the timer `d` from now.
   void schedule_in(Duration d) {
     require_bound();
-    sim_->arm_timer(*slot_, sim_->now() + d);
+    sim_->arm_timer(*entry_, sim_->now() + d);
   }
   /// Arm with a pre-reserved FIFO ticket (see Simulator::reserve_fifo_tickets).
   void schedule_at(TimePoint t, std::uint64_t ticket) {
     require_bound();
-    sim_->arm_timer(*slot_, t, ticket);
+    sim_->arm_timer(*entry_, t, ticket);
   }
 
   /// Turn the pending occurrence, if any, into an event that runs nothing.
   void cancel() {
-    if (sim_ != nullptr) sim_->disarm_timer(*slot_);
+    if (sim_ != nullptr) sim_->disarm_timer(*entry_);
   }
 
   /// True if an occurrence is scheduled and not yet fired.
-  bool pending() const { return sim_ != nullptr && slot_->at != kNoEvent; }
+  bool pending() const { return sim_ != nullptr && entry_->kind == LinkEntry::Kind::kTimer; }
 
   explicit operator bool() const { return sim_ != nullptr; }
 
  private:
   friend class Simulator;
-  CountedTimer(Simulator* sim, CountedSlot* slot) : sim_{sim}, slot_{slot} {}
+  CountedTimer(Simulator* sim, TimerEntry* entry) : sim_{sim}, entry_{entry} {}
 
   void require_bound() const {
     if (sim_ == nullptr) {
@@ -775,14 +765,14 @@ class Simulator::CountedTimer {
 
   void release() {
     if (sim_ != nullptr) {
-      sim_->release_timer(*slot_);
+      sim_->release_timer(*entry_);
       sim_ = nullptr;
-      slot_ = nullptr;
+      entry_ = nullptr;
     }
   }
 
   Simulator* sim_{nullptr};
-  CountedSlot* slot_{nullptr};
+  TimerEntry* entry_{nullptr};
 };
 
 inline Simulator::TimerHandle Simulator::make_timer(Callback cb) {
@@ -790,7 +780,7 @@ inline Simulator::TimerHandle Simulator::make_timer(Callback cb) {
 }
 
 inline Simulator::CountedTimer Simulator::make_counted_timer(Callback cb) {
-  return CountedTimer{this, alloc_counted_slot(std::move(cb))};
+  return CountedTimer{this, alloc_timer_entry(std::move(cb))};
 }
 
 }  // namespace pathload::sim

@@ -120,9 +120,9 @@ class TcpReceiver final : public sim::PacketHandler {
 /// The retransmission timer is a counted timer re-armed per ACK: every arm
 /// counts as one event, the superseded ones running nothing, as one
 /// scheduled RTO event per arm would. The superseded arms wait in the
-/// simulator's line of counted timers' stale arms, which it counts in
-/// bulk, not in the calendar queue. Destroying the sender leaves its
-/// pending arm there as such a no-op.
+/// timer's own line in the simulator, which counts them in bulk, not in
+/// the calendar queue. Destroying the sender leaves its pending arms to
+/// the simulator as such no-ops.
 class TcpSender final : public sim::PacketHandler {
  public:
   TcpSender(sim::Simulator& sim, sim::Path& path, TcpConfig cfg,
